@@ -29,6 +29,13 @@ inline constexpr unsigned kCachelineBytes = 64;
 /** Number of beats in one DDR burst (BL8). */
 inline constexpr unsigned kBurstLength = 8;
 
+/** `count` consecutive 64B lines, starting `first` lines past a base. */
+struct LineRun
+{
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+};
+
 /**
  * The memory designs evaluated in the paper (Section 6, Figure 12).
  *

@@ -3,10 +3,82 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/bitops.hh"
 #include "src/common/logging.hh"
 #include "src/ecc/ecc_engine.hh"
 
 namespace sam {
+
+void
+StoreSnapshot::layOut(Addr base, std::size_t count, bool is_clean)
+{
+    const std::size_t first = addrs.size();
+    if (dense_) {
+        const Addr end = extents_.empty()
+            ? 0
+            : extents_.back().base +
+                  extents_.back().count * kCachelineBytes;
+        if (!extents_.empty() && base == end) {
+            extents_.back().count += count;
+        } else if (extents_.empty() || base > end) {
+            extents_.push_back(Extent{base, count, first});
+        } else {
+            // Out-of-order append: fall back to a hash index built
+            // from everything stored so far.
+            dense_ = false;
+            index_.reserve(first + count);
+            for (std::size_t i = 0; i < first; ++i)
+                index_.emplace(addrs[i], i);
+            extents_.clear();
+        }
+    }
+    addrs.reserve(first + count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const Addr addr = base + i * kCachelineBytes;
+        if (!dense_)
+            index_.emplace(addr, first + i);
+        addrs.push_back(addr);
+    }
+    clean.resize(first + count, is_clean);
+}
+
+void
+StoreSnapshot::classify(std::size_t slot, std::size_t count, bool stored)
+{
+    if (count == 0 || (stored && stored_.empty()))
+        return; // no padding yet: slot i owns arena slot i
+    if (stored_.empty()) {
+        // First padding slot: switch to the bitmap, every earlier
+        // slot owning its arena bytes.
+        stored_.assign(divCeil(slot, 64), ~std::uint64_t{0});
+        if (slot % 64 != 0)
+            stored_.back() = (std::uint64_t{1} << (slot % 64)) - 1;
+        rank_.resize(stored_.size());
+        for (std::size_t w = 0; w < rank_.size(); ++w)
+            rank_[w] = w * 64;
+        zeros_.assign(blobBytes, 0);
+    }
+    const std::size_t end = slot + count;
+    const std::size_t old_words = stored_.size();
+    stored_.resize(divCeil(end, 64), 0);
+    rank_.resize(stored_.size(), 0);
+    for (std::size_t s = slot; stored && s < end;) {
+        const unsigned bit = s % 64;
+        const std::size_t n = std::min<std::size_t>(64 - bit, end - s);
+        const std::uint64_t ones =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        stored_[s / 64] |= ones << bit;
+        s += n;
+    }
+    // Appends are ascending, so only the ranks after `slot`'s word and
+    // those of new words can have moved.
+    for (std::size_t w = std::max<std::size_t>(
+             1, std::min(old_words, slot / 64 + 1));
+         w < stored_.size(); ++w) {
+        rank_[w] = rank_[w - 1] +
+                   static_cast<std::size_t>(std::popcount(stored_[w - 1]));
+    }
+}
 
 void
 StoreSnapshot::append(Addr addr, const std::uint8_t *blob_bytes,
@@ -14,62 +86,42 @@ StoreSnapshot::append(Addr addr, const std::uint8_t *blob_bytes,
 {
     sam_assert(blobBytes > 0, "append before blobBytes is set");
     const std::size_t slot = addrs.size();
-    if (dense_) {
-        if (!extents_.empty() &&
-            addr == extents_.back().base +
-                        extents_.back().count * kCachelineBytes) {
-            ++extents_.back().count;
-        } else if (extents_.empty() ||
-                   addr > extents_.back().base +
-                              extents_.back().count * kCachelineBytes) {
-            extents_.push_back(Extent{addr, 1, slot});
-        } else {
-            // Out-of-order append: fall back to a hash index built
-            // from everything stored so far.
-            dense_ = false;
-            index_.reserve(slot + 1);
-            for (std::size_t i = 0; i < slot; ++i)
-                index_.emplace(addrs[i], i);
-            extents_.clear();
-        }
-    }
-    if (!dense_)
-        index_.emplace(addr, slot);
-    addrs.push_back(addr);
+    layOut(addr, 1, is_clean);
+    classify(slot, 1, /*stored=*/true);
     arena.insert(arena.end(), blob_bytes, blob_bytes + blobBytes);
-    clean.push_back(is_clean);
 }
 
 std::size_t
-StoreSnapshot::appendDenseRows(Addr base, std::size_t count)
+StoreSnapshot::appendRows(Addr base, std::size_t count,
+                          const std::vector<LineRun> &stored)
 {
     sam_assert(blobBytes > 0, "append before blobBytes is set");
-    sam_assert(base % kCachelineBytes == 0, "unaligned dense base");
-    if (count == 0)
-        return addrs.size();
+    sam_assert(base % kCachelineBytes == 0, "unaligned row base");
     const std::size_t first = addrs.size();
-    if (dense_) {
-        if (!extents_.empty() &&
-            base == extents_.back().base +
-                        extents_.back().count * kCachelineBytes) {
-            extents_.back().count += count;
-        } else if (extents_.empty() ||
-                   base > extents_.back().base +
-                              extents_.back().count * kCachelineBytes) {
-            extents_.push_back(Extent{base, count, first});
-        } else {
-            panic("appendDenseRows out of ascending order");
-        }
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            index_.emplace(base + i * kCachelineBytes, first + i);
+    if (count == 0)
+        return first;
+    layOut(base, count, /*is_clean=*/true);
+    std::size_t next = 0;  // first line not yet classified
+    std::size_t stored_lines = 0;
+    for (const LineRun &run : stored) {
+        sam_assert(run.first >= next && run.first + run.count <= count,
+                   "stored runs must be ascending and in range");
+        classify(first + next, run.first - next, /*stored=*/false);
+        classify(first + run.first, run.count, /*stored=*/true);
+        next = run.first + run.count;
+        stored_lines += run.count;
     }
-    addrs.reserve(first + count);
-    for (std::size_t i = 0; i < count; ++i)
-        addrs.push_back(base + i * kCachelineBytes);
-    clean.resize(first + count, true);
-    arena.resize((first + count) * blobBytes, 0);
+    classify(first + next, count - next, /*stored=*/false);
+    arena.resize(arena.size() + stored_lines * blobBytes, 0);
     return first;
+}
+
+std::uint8_t *
+StoreSnapshot::mutableBlob(std::size_t slot)
+{
+    const std::size_t i = arenaIndex(slot);
+    sam_assert(i != npos, "padding slot ", slot, " has no arena bytes");
+    return arena.data() + i * blobBytes;
 }
 
 std::size_t

@@ -22,6 +22,7 @@
 #ifndef SAM_DRAM_BACKING_STORE_HH
 #define SAM_DRAM_BACKING_STORE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -49,10 +50,18 @@ using BlobPtr = std::shared_ptr<const Blob>;
  * alone would cost gigabytes. Irregular appends fall back to a lazily
  * built index; `find` is the only lookup path either way.
  *
- * Blob bytes live in one flat arena (blobBytes per slot, slot-major)
- * rather than a heap vector per line: a paper-scale table runs to
- * millions of lines, and per-line blob allocations dominated snapshot
- * construction before the arena.
+ * Every line, padding included, owns a slot (an entry of `addrs` and
+ * `clean`), so slot numbering -- and with it fault-target sampling --
+ * does not depend on how the bytes are stored. Blob bytes live in one
+ * flat arena rather than a heap vector per line. A table layout can
+ * be mostly padding (a VerticalGroup table spans whole 128 MiB bands
+ * however few records it holds), so appendRows() gives arena bytes
+ * only to the lines that hold records: once a snapshot has any
+ * padding slot, a stored-slot bitmap with a rank count per 64 slots
+ * maps a slot to its arena bytes, and every padding slot reads as one
+ * shared all-zero blob -- a valid codeword under every supported
+ * (linear) scheme, and exactly what a padding line holds. A snapshot
+ * without padding indexes the arena directly by slot.
  */
 struct StoreSnapshot
 {
@@ -82,14 +91,17 @@ struct StoreSnapshot
      * the reconstructed bytes are identical to an eager encode.
      */
     bool lazyParity = false;
-    /** Blob bytes of every slot, blobBytes apiece. */
+    /** Blob bytes of every stored (non-padding) slot, blobBytes
+     *  apiece, in slot order. */
     std::vector<std::uint8_t> arena;
 
     std::size_t size() const { return addrs.size(); }
 
+    /** Blob bytes of `slot` (the shared zero blob for padding). */
     const std::uint8_t *blob(std::size_t slot) const
     {
-        return arena.data() + slot * blobBytes;
+        const std::size_t i = arenaIndex(slot);
+        return i == npos ? zeros_.data() : arena.data() + i * blobBytes;
     }
 
     void append(Addr addr, const std::uint8_t *blob_bytes,
@@ -97,31 +109,54 @@ struct StoreSnapshot
 
     /**
      * Append `count` consecutive clean lines starting at `base` in one
-     * step, zero-filling their arena slots, and return the first slot.
-     * The bulk path behind parallel table encode: the snapshot's
-     * address/extent structure is laid out up front, then worker
-     * threads encode directly into the slots via mutableBlob() --
-     * byte-identical to count ascending append() calls regardless of
-     * how the slot range is divided among threads. Same ordering
-     * contract as append(): `base` must not precede the last extent.
+     * step and return the first slot. Only the lines in `stored`
+     * (ascending, disjoint runs counted from `base`) get arena bytes,
+     * zero-filled; every other line is padding. The bulk path behind
+     * parallel table encode: the snapshot's slot structure is laid out
+     * up front, then worker threads encode directly into the stored
+     * slots via mutableBlob() -- byte-identical regardless of how the
+     * work is divided among threads.
      */
-    std::size_t appendDenseRows(Addr base, std::size_t count);
+    std::size_t appendRows(Addr base, std::size_t count,
+                           const std::vector<LineRun> &stored);
 
-    /** Mutable blob bytes of `slot` (parallel snapshot construction). */
-    std::uint8_t *mutableBlob(std::size_t slot)
-    {
-        return arena.data() + slot * blobBytes;
-    }
+    /** Mutable blob bytes of stored `slot` (parallel construction). */
+    std::uint8_t *mutableBlob(std::size_t slot);
 
     /** Slot of `addr`, or npos if absent. */
     std::size_t find(Addr addr) const;
 
   private:
+    /** Arena position of `slot`'s bytes, or npos for padding. */
+    std::size_t arenaIndex(std::size_t slot) const
+    {
+        if (stored_.empty())
+            return slot;
+        const std::uint64_t word = stored_[slot / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        if ((word & bit) == 0)
+            return npos;
+        return rank_[slot / 64] +
+               static_cast<std::size_t>(std::popcount(word & (bit - 1)));
+    }
+
+    /** Add `count` consecutive line slots at `base` to the lookup. */
+    void layOut(Addr base, std::size_t count, bool is_clean);
+    /** Record whether slots [slot, slot + count) own arena bytes. */
+    void classify(std::size_t slot, std::size_t count, bool stored);
+
     /** Ascending extents; authoritative while `dense_` holds. */
     std::vector<Extent> extents_;
     bool dense_ = true;
     /** Fallback index, built on the first out-of-order append. */
     std::unordered_map<Addr, std::size_t> index_;
+    /** Bit per slot, set when it owns arena bytes; empty until the
+     *  first padding slot (every slot owns bytes until then). */
+    std::vector<std::uint64_t> stored_;
+    /** Stored slots before each 64-slot word of stored_. */
+    std::vector<std::size_t> rank_;
+    /** The shared blob of every padding slot: blobBytes zeros. */
+    std::vector<std::uint8_t> zeros_;
 };
 
 /**

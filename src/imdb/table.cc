@@ -1,5 +1,6 @@
 #include "src/imdb/table.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/bitops.hh"
@@ -362,16 +363,68 @@ Table::buildLine(std::uint64_t off, std::uint8_t *line64) const
     }
 }
 
-void
-Table::materialize(DataPath &data_path) const
+std::vector<LineRun>
+Table::recordLineRuns() const
 {
-    const std::uint64_t footprint = footprintBytes();
-    std::vector<std::uint8_t> line(kCachelineBytes);
-    for (std::uint64_t off = 0; off < footprint;
-         off += kCachelineBytes) {
-        buildLine(off, line.data());
-        data_path.writeLine(base_ + off, line);
+    std::vector<LineRun> runs;
+    // Add the lines covering bytes [off, off + bytes), merging with
+    // the previous run when they touch.
+    const auto add = [&runs](std::uint64_t off, std::uint64_t bytes) {
+        if (bytes == 0)
+            return;
+        const std::uint64_t first = off / kCachelineBytes;
+        const std::uint64_t count =
+            divCeil(off + bytes, kCachelineBytes) - first;
+        if (!runs.empty() &&
+            runs.back().first + runs.back().count == first) {
+            runs.back().count += count;
+        } else {
+            runs.push_back(LineRun{first, count});
+        }
+    };
+
+    switch (layout_) {
+      case LayoutKind::ColumnStore:
+        for (unsigned f = 0; f < schema_.numFields; ++f) {
+            add(f * colSpan(),
+                schema_.numRecords * TableSchema::kFieldBytes);
+        }
+        break;
+
+      case LayoutKind::VerticalGroup: {
+        // Invert fieldAddr(): column slot c of (row, bank) holds run
+        // (band * slots_per_row + c) * vgBanks_ + bank, at row_in of
+        // that run. The occupied slots of a segment are a prefix.
+        const std::uint64_t rec_bytes = schema_.recordBytes();
+        const std::uint64_t slots_per_row = rowBytes_ / rec_bytes;
+        const std::uint64_t rows = footprintBytes() >> vgRowShift_;
+        const std::uint64_t n = schema_.numRecords;
+        for (std::uint64_t row = 0; row < rows; ++row) {
+            const std::uint64_t band_slot0 =
+                row / vgSpan_ * slots_per_row;
+            const std::uint64_t row_in = row % vgSpan_;
+            // Runs long enough to reach row_in.
+            const std::uint64_t runs_here =
+                n > row_in ? divCeil(n - row_in, vgSpan_) : 0;
+            for (std::uint64_t bank = 0; bank < vgBanks_; ++bank) {
+                const std::uint64_t slot_end =
+                    runs_here > bank ? divCeil(runs_here - bank, vgBanks_)
+                                     : 0;
+                const std::uint64_t used =
+                    slot_end > band_slot0
+                        ? std::min(slot_end - band_slot0, slots_per_row)
+                        : 0;
+                add((row << vgRowShift_) + (bank << vgBankShift_),
+                    used * rec_bytes);
+            }
+        }
+        break;
+      }
+
+      default:
+        add(0, footprintBytes());
     }
+    return runs;
 }
 
 } // namespace sam

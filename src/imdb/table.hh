@@ -10,11 +10,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/gather.hh"
 #include "src/common/types.hh"
 #include "src/designs/design.hh"
-#include "src/dram/data_path.hh"
 #include "src/dram/timing.hh"
 
 namespace sam {
@@ -52,8 +52,9 @@ bool passesPredicate(std::uint64_t record, unsigned field,
 
 /**
  * A table bound to a physical base address and a layout. Addressing is
- * purely arithmetic; materialize() writes the contents through the
- * functional data path.
+ * purely arithmetic; buildLine() composes the contents line by line
+ * and recordLineRuns() says which lines have any (TableCache builds
+ * the snapshot a system installs from the two).
  */
 class Table
 {
@@ -117,9 +118,6 @@ class Table
     /** Banks rotated over by vertical runs. */
     unsigned verticalBanks() const { return vgBanks_; }
 
-    /** Write every record into the functional memory. */
-    void materialize(DataPath &data_path) const;
-
     /**
      * Compose the 64B line at byte offset `off` from the table base
      * (layout inversion + deterministic field values). Pure function
@@ -127,6 +125,19 @@ class Table
      * once, which is how TableCache parallelises cold builds.
      */
     void buildLine(std::uint64_t off, std::uint8_t *line64) const;
+
+    /**
+     * The lines of the footprint that hold record bytes, as ascending,
+     * disjoint, maximal runs (in lines from the table base). Every
+     * other line is padding, which buildLine() fills with zeros:
+     *   - VerticalGroup: the occupied column slots of each row-and-bank
+     *     segment (a table spans whole subarray-high bands, mostly
+     *     empty at small record counts);
+     *   - ColumnStore: each field column's records, without the
+     *     row-rounding and bank-stagger tail;
+     *   - every other layout: the whole footprint.
+     */
+    std::vector<LineRun> recordLineRuns() const;
 
   private:
     /** Find the (record, field) word occupying the 8B slot at `off`;

@@ -33,7 +33,8 @@ System::System(const SimConfig &config, std::shared_ptr<TableCache> tables)
       mapping_(geom_),
       dataPath_(spec_.ecc),
       ras_(std::make_unique<RasEngine>(config.ras)),
-      tableCache_(std::move(tables))
+      tableCache_(tables ? std::move(tables)
+                         : std::make_shared<TableCache>())
 {
     sam_assert(config.cores > 0, "need at least one core");
     dataPath_.setRasPolicy(ras_.get());
@@ -101,13 +102,8 @@ System::tablesFor(LayoutKind layout)
                                         gather, geom_);
         tp.tb = std::make_unique<Table>(tbSchema(), tb_base, layout,
                                         gather, geom_);
-        if (tableCache_) {
-            dataPath_.store().install(
-                tableCache_->materialized(*tp.ta, *tp.tb, spec_.ecc));
-        } else {
-            tp.ta->materialize(dataPath_);
-            tp.tb->materialize(dataPath_);
-        }
+        dataPath_.store().install(
+            tableCache_->materialized(*tp.ta, *tp.tb, spec_.ecc));
         tp.dirty = false;
     }
     return tp;

@@ -148,10 +148,9 @@ class System
 {
   public:
     /**
-     * @param tables Shared materialized-table cache. When given, the
-     *        system installs pre-encoded table snapshots instead of
-     *        re-encoding every line; when null, tables are materialized
-     *        directly (standalone use).
+     * @param tables Shared materialized-table cache the system installs
+     *        table snapshots from; a private cache is created when none
+     *        is given (standalone use), as Session does.
      */
     explicit System(const SimConfig &config,
                     std::shared_ptr<TableCache> tables = nullptr);

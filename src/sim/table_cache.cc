@@ -10,17 +10,27 @@ namespace sam {
 
 namespace {
 
-/** Build the data bytes of lines [first, last) of `table` directly
- *  into consecutive snapshot slots starting at `slot0 + first`. The
- *  parity tail of each slot stays zero: the snapshot is lazy-parity,
- *  so the ECC encode -- the dominant materialization cost -- is
- *  deferred to the rare consumer that actually observes a codeword. */
-void
-buildRange(const Table &table, StoreSnapshot &snap, std::size_t slot0,
-           std::size_t first, std::size_t last)
+/** Record lines [first, last) of one table, built into the snapshot
+ *  slots starting at `slot0 + first`. */
+struct BuildPiece
 {
-    for (std::size_t i = first; i < last; ++i)
-        table.buildLine(i * kCachelineBytes, snap.mutableBlob(slot0 + i));
+    const Table *table;
+    std::size_t slot0;
+    std::uint64_t first;
+    std::uint64_t last;
+};
+
+/** Build a piece's data bytes into its slots. The parity tail of each
+ *  slot stays zero: the snapshot is lazy-parity, so the ECC encode --
+ *  the dominant materialization cost -- is deferred to the rare
+ *  consumer that actually observes a codeword. */
+void
+buildPiece(const BuildPiece &p, StoreSnapshot &snap)
+{
+    for (std::uint64_t i = p.first; i < p.last; ++i) {
+        p.table->buildLine(i * kCachelineBytes,
+                           snap.mutableBlob(p.slot0 + i));
+    }
 }
 
 } // namespace
@@ -38,48 +48,68 @@ TableCache::buildSnapshot(const Table &ta, const Table &tb,
                           unsigned parity_bytes)
 {
     // Lay out the slot structure up front (ta fully, then tb, both in
-    // ascending address order -- exactly the insertion order direct
-    // materialization through a DataPath would produce), then build
-    // each line's data bytes independently into its slot. Parity stays
+    // ascending address order, padding included), giving arena bytes
+    // only to the lines that hold records, then build each of those
+    // lines' data bytes independently into its slot. Parity stays
     // zero-filled: the snapshot is marked lazy-parity and the
     // installing store reconstructs codewords on demand.
     StoreSnapshot snap;
     snap.blobBytes = kCachelineBytes + parity_bytes;
     snap.lazyParity = parity_bytes > 0;
-    sam_assert(ta.footprintBytes() % kCachelineBytes == 0 &&
-                   tb.footprintBytes() % kCachelineBytes == 0,
-               "table footprint not line-aligned");
-    const std::size_t ta_lines = ta.footprintBytes() / kCachelineBytes;
-    const std::size_t tb_lines = tb.footprintBytes() / kCachelineBytes;
-    const std::size_t ta_slot0 = snap.appendDenseRows(ta.base(), ta_lines);
-    const std::size_t tb_slot0 = snap.appendDenseRows(tb.base(), tb_lines);
+    const std::vector<LineRun> runs[2] = {ta.recordLineRuns(),
+                                          tb.recordLineRuns()};
+    const Table *tables[2] = {&ta, &tb};
+    std::size_t slot0[2] = {0, 0};
+    std::uint64_t total = 0;
+    for (unsigned t = 0; t < 2; ++t) {
+        const std::uint64_t footprint = tables[t]->footprintBytes();
+        sam_assert(footprint % kCachelineBytes == 0,
+                   "table footprint not line-aligned");
+        slot0[t] = snap.appendRows(tables[t]->base(),
+                                   footprint / kCachelineBytes, runs[t]);
+        for (const LineRun &r : runs[t])
+            total += r.count;
+    }
+
+    // Cut the record lines into pieces of at most `chunk` lines. Every
+    // piece writes disjoint slots, so the result is byte-identical at
+    // any thread count.
+    const std::uint64_t chunk =
+        std::max<std::uint64_t>(4096, total / (8 * buildThreads_));
+    std::vector<BuildPiece> pieces;
+    for (unsigned t = 0; t < 2; ++t) {
+        for (const LineRun &r : runs[t]) {
+            for (std::uint64_t first = r.first; first < r.first + r.count;
+                 first += chunk) {
+                pieces.push_back(BuildPiece{
+                    tables[t], slot0[t], first,
+                    std::min(r.first + r.count, first + chunk)});
+            }
+        }
+    }
 
     // Small builds are not worth the fan-out overhead.
-    constexpr std::size_t kMinParallelLines = 1 << 14;
-    const std::size_t total = ta_lines + tb_lines;
+    constexpr std::uint64_t kMinParallelLines = 1 << 14;
     if (buildThreads_ <= 1 || total < kMinParallelLines) {
-        buildRange(ta, snap, ta_slot0, 0, ta_lines);
-        buildRange(tb, snap, tb_slot0, 0, tb_lines);
+        for (const BuildPiece &p : pieces)
+            buildPiece(p, snap);
         return snap;
     }
 
-    // Chunk each table's line range; every chunk writes a disjoint
-    // slot range, so the result is byte-identical at any thread count.
-    const std::size_t chunk =
-        std::max<std::size_t>(4096, total / (8 * buildThreads_));
+    // One task per about `chunk` lines of consecutive pieces (a
+    // VerticalGroup table's partial band is thousands of short runs).
     std::vector<std::function<void()>> tasks;
-    auto chunkTable = [&](const Table &t, std::size_t slot0,
-                          std::size_t lines) {
-        for (std::size_t first = 0; first < lines; first += chunk) {
-            const std::size_t last = std::min(lines, first + chunk);
-            tasks.push_back([&t, &snap, slot0, first, last] {
-                buildRange(t, snap, slot0, first, last);
-            });
-        }
-    };
-    chunkTable(ta, ta_slot0, ta_lines);
-    chunkTable(tb, tb_slot0, tb_lines);
-
+    for (std::size_t begin = 0; begin < pieces.size();) {
+        std::size_t end = begin;
+        for (std::uint64_t lines = 0;
+             end < pieces.size() && lines < chunk; ++end)
+            lines += pieces[end].last - pieces[end].first;
+        tasks.push_back([&pieces, &snap, begin, end] {
+            for (std::size_t i = begin; i < end; ++i)
+                buildPiece(pieces[i], snap);
+        });
+        begin = end;
+    }
     MutexLock pool_lock(poolMutex_);
     if (!pool_)
         pool_ = std::make_unique<ThreadPool>(buildThreads_);

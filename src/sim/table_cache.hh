@@ -2,17 +2,21 @@
  * @file
  * Process-wide cache of materialized benchmark tables.
  *
- * Materializing a table pair builds every record line's data bytes --
- * historically it also ECC-encoded them, the dominant setup cost of
- * building a simulated system. Snapshots are now lazy-parity
- * (StoreSnapshot::lazyParity): slots hold real data but zero parity,
- * and the installing BackingStore reconstructs codewords on demand for
- * the rare consumers that observe one (fault corruption, decode under
- * injection, capture). The built bytes depend only on (schema, layout,
- * base address, gather factor, parity footprint), not on the design or
- * even the concrete ECC scheme, so a campaign running many designs and
- * sweep points builds each distinct table pair once and shares the
- * immutable blobs across all chipkill schemes alike.
+ * Materializing a table pair -- the dominant setup cost of building a
+ * simulated system -- builds the data bytes of every line that holds
+ * records (Table::recordLineRuns). Padding lines keep their snapshot
+ * slots but get no arena bytes: they read as the snapshot's shared
+ * all-zero blob, which is what they hold, so a mostly-padding
+ * VerticalGroup table costs only its records. Snapshots are
+ * lazy-parity (StoreSnapshot::lazyParity): slots hold real data but
+ * zero parity, and the installing BackingStore reconstructs codewords
+ * on demand for the rare consumers that observe one (fault
+ * corruption, decode under injection, capture). The built bytes depend
+ * only on (schema, layout, base address, gather factor, parity
+ * footprint), not on the design or even the concrete ECC scheme, so a
+ * campaign running many designs and sweep points builds each distinct
+ * table pair once and shares the immutable blobs across all chipkill
+ * schemes alike.
  *
  * Thread-safe: campaign workers share one cache. A key is materialized
  * under its own entry lock, so concurrent first touches of different
@@ -42,21 +46,21 @@ class TableCache
 {
   public:
     /**
-     * @param build_threads Worker threads for cold table encodes
+     * @param build_threads Worker threads for cold table builds
      *        (0 picks the host's core count, 1 builds serially). The
-     *        encoded bytes are identical at any thread count: the
+     *        built bytes are identical at any thread count: the
      *        snapshot's slot layout is fixed up front and workers
-     *        encode disjoint line ranges in place.
+     *        build disjoint line ranges in place.
      */
     explicit TableCache(unsigned build_threads = 0);
     ~TableCache();
 
     /**
-     * The materialized contents of `ta` and `tb` under `ecc`, encoding
-     * them on first touch. The snapshot lists lines in materialization
-     * order (ta fully, then tb), matching what direct materialization
-     * into an empty store would produce, so installing it keeps
-     * fault-target sampling deterministic.
+     * The materialized contents of `ta` and `tb` under `ecc`, building
+     * them on first touch. The snapshot has one slot per footprint
+     * line, padding included, in ascending address order (ta fully,
+     * then tb), so fault-target sampling over an installed snapshot is
+     * deterministic and independent of which lines own bytes.
      */
     std::shared_ptr<const StoreSnapshot>
     materialized(const Table &ta, const Table &tb, EccScheme ecc);
@@ -81,7 +85,8 @@ class TableCache
         std::shared_ptr<const StoreSnapshot> snap SAM_GUARDED_BY(build);
     };
 
-    /** Build both tables into a fresh lazy-parity snapshot (cold path). */
+    /** Build both tables' record lines into a fresh lazy-parity
+     *  snapshot (cold path). */
     StoreSnapshot buildSnapshot(const Table &ta, const Table &tb,
                                 unsigned parity_bytes);
 

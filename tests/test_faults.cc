@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/dram/backing_store.hh"
 #include "src/dram/data_path.hh"
@@ -96,6 +98,52 @@ TEST(FaultInjection, DeterministicUnderFixedSeed)
     EXPECT_EQ(ra.eccCorrectedLines, rb.eccCorrectedLines);
     EXPECT_EQ(ra.scrubWritebacks, rb.scrubWritebacks);
     EXPECT_EQ(ra.poisonedReads, rb.poisonedReads);
+}
+
+// --------------------------------------------------------------------
+// Transient victims over table padding: the injector samples every
+// line slot of the store uniformly, padding included. A VerticalGroup
+// table is ~99% padding at this scale, so a snapshot build that
+// dropped or renumbered padding slots would still compute exact
+// results but corrupt different lines -- these counts, recorded with
+// every padding line stored, pin the victim sequence.
+// --------------------------------------------------------------------
+
+TEST(FaultInjection, TransientTargetsOverPaddingArePinned)
+{
+    struct Expect
+    {
+        Cycle cycles;
+        std::uint64_t corrected;
+        std::uint64_t uncorrectable;
+        std::uint64_t scrubs;
+    };
+    const std::vector<std::pair<DesignKind, std::vector<Expect>>> pins = {
+        {DesignKind::SamSub,
+         {{3502, 23, 0, 23}, {7475, 64, 1, 64}, {4697, 45, 0, 45}}},
+        {DesignKind::RcNvmWord,
+         {{6009, 23, 0, 23}, {14252, 64, 1, 64}, {11208, 45, 0, 45}}},
+    };
+    for (const auto &[design, expect] : pins) {
+        SimConfig cfg = smallConfig();
+        cfg.design = design;
+        cfg.faults.model = FaultModel::Transient;
+        cfg.faults.fitPerMcycle = 1e8; // ~1e5 flips per query
+        cfg.faults.seed = 0xD15EA5E;
+        System sys(cfg);
+        // Flips persist in the store, so Q1..Q3 on one system see the
+        // victims of every earlier run too.
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            const Query q = benchmarkQQueries()[i];
+            const RunStats r = sys.runQuery(q);
+            const std::string where = designName(design) + "/" + q.name;
+            EXPECT_EQ(r.cycles, expect[i].cycles) << where;
+            EXPECT_EQ(r.eccCorrectedLines, expect[i].corrected) << where;
+            EXPECT_EQ(r.eccUncorrectable, expect[i].uncorrectable)
+                << where;
+            EXPECT_EQ(r.scrubWritebacks, expect[i].scrubs) << where;
+        }
+    }
 }
 
 // --------------------------------------------------------------------

@@ -9,12 +9,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "src/common/logging.hh"
 #include "src/controller/address_mapping.hh"
+#include "src/dram/data_path.hh"
+#include "src/ecc/ecc_engine.hh"
 #include "src/imdb/executor.hh"
 #include "src/imdb/query.hh"
 #include "src/imdb/table.hh"
+#include "src/sim/table_cache.hh"
 
 namespace sam {
 namespace {
@@ -76,12 +81,17 @@ TEST_P(LayoutTest, FieldAddressesAreDisjoint)
 
 TEST_P(LayoutTest, MaterializeMatchesFieldAddr)
 {
-    // The layout inversion in materialize() must agree with
-    // fieldAddr(): every field reads back its generated value.
+    // The layout inversion in buildLine() must agree with fieldAddr(),
+    // and the snapshot's padding elision must keep every record line:
+    // every field of an installed table snapshot reads back its
+    // generated value.
     TableSchema sch{"T", 16, 512};
     Table t(sch, Addr{1} << 30, GetParam(), 8, geom);
+    Table other(TableSchema{"U", 8, 256}, Addr{2} << 30, GetParam(), 8,
+                geom);
+    TableCache cache(1);
     DataPath dp(EccScheme::SscDsd);
-    t.materialize(dp);
+    dp.store().install(cache.materialized(t, other, EccScheme::SscDsd));
     for (std::uint64_t r = 0; r < sch.numRecords; r += 7) {
         for (unsigned f = 0; f < sch.numFields; f += 3) {
             const Addr a = t.fieldAddr(r, f);
@@ -103,6 +113,132 @@ INSTANTIATE_TEST_SUITE_P(
                       LayoutKind::GsSegmented),
     [](const auto &info) {
         std::string name = layoutName(info.param);
+        std::erase(name, '-');
+        return name;
+    });
+
+// --------------------------------------------------------------------
+// Table snapshots elide padding lines
+// --------------------------------------------------------------------
+
+/**
+ * A small rank (4 banks, 64-row subarrays) so a VerticalGroup band is
+ * 2 MiB and every slot of a snapshot can be checked. The schemas give
+ * VerticalGroup a full band followed by a partial one, partial last
+ * vertical runs, several column slots per row, and 32-byte records
+ * that share a line.
+ */
+class SnapshotElisionTest
+    : public ::testing::TestWithParam<std::tuple<LayoutKind, EccScheme>>
+{
+  protected:
+    static Geometry smallRank()
+    {
+        Geometry g;
+        g.ranks = 1;
+        g.bankGroups = 2;
+        g.banksPerGroup = 2;
+        g.rowsPerBank = 64 * g.subarraysPerBank;
+        return g;
+    }
+
+    const Geometry geom = smallRank();
+    const Table ta{TableSchema{"Ta", 128, 2600}, Addr{1} << 30,
+                   std::get<0>(GetParam()), 8, geom};
+    const Table tb{TableSchema{"Tb", 4, 520}, Addr{2} << 30,
+                   std::get<0>(GetParam()), 8, geom};
+};
+
+TEST_P(SnapshotElisionTest, EverySlotReadsTheEncodedTableLine)
+{
+    const auto [layout, scheme] = GetParam();
+    TableCache cache(1);
+    const auto snap = cache.materialized(ta, tb, scheme);
+    const EccEngine ecc(scheme);
+    const unsigned blob_bytes =
+        kCachelineBytes + EccEngine::parityBytesFor(scheme);
+    BackingStore store(blob_bytes);
+    store.setParityEncoder(&ecc);
+    store.install(snap);
+
+    const std::uint64_t slots =
+        (ta.footprintBytes() + tb.footprintBytes()) / kCachelineBytes;
+    EXPECT_EQ(store.lineCount(), slots);
+    ASSERT_EQ(snap->size(), slots);
+
+    std::vector<std::uint8_t> line(kCachelineBytes);
+    std::vector<std::uint8_t> ref(blob_bytes);
+    const std::vector<std::uint8_t> zeros(blob_bytes, 0);
+    Addr padding = kInvalidAddr;
+    Addr data = kInvalidAddr;
+    std::uint64_t record_lines = 0;
+    for (const Table *t : {&ta, &tb}) {
+        const std::vector<LineRun> runs = t->recordLineRuns();
+        std::size_t run = 0;
+        for (std::uint64_t i = 0; i < t->footprintBytes() / kCachelineBytes;
+             ++i) {
+            while (run < runs.size() &&
+                   runs[run].first + runs[run].count <= i)
+                ++run;
+            const bool holds_records =
+                run < runs.size() && runs[run].first <= i;
+            const Addr addr = t->base() + i * kCachelineBytes;
+            t->buildLine(i * kCachelineBytes, line.data());
+            ecc.encodeLineInto(line.data(), ref.data());
+            if (holds_records) {
+                ++record_lines;
+                if (data == kInvalidAddr)
+                    data = addr;
+            } else {
+                ASSERT_EQ(ref, zeros) << "padding line " << i
+                                      << " holds record bytes";
+                if (padding == kInvalidAddr)
+                    padding = addr;
+            }
+            ASSERT_EQ(store.readLine(addr), ref)
+                << layoutName(layout) << " " << t->schema().name
+                << " line " << i;
+        }
+    }
+
+    // Only the record lines own arena bytes; layouts without padding
+    // keep one arena slot per line.
+    EXPECT_EQ(snap->arena.size(), record_lines * blob_bytes);
+    const bool pads = layout == LayoutKind::VerticalGroup ||
+                      layout == LayoutKind::ColumnStore;
+    EXPECT_EQ(record_lines < slots, pads) << layoutName(layout);
+
+    // Faults land on padding and data slots alike, on top of the
+    // codeword the slot reads as.
+    std::vector<std::uint8_t> mask(blob_bytes, 0);
+    mask[3] = 0x10;
+    mask[blob_bytes - 1] = 0x81;
+    for (const Addr addr : {padding, data}) {
+        if (addr == kInvalidAddr)
+            continue;
+        const Table &t = addr < tb.base() ? ta : tb;
+        t.buildLine(addr - t.base(), line.data());
+        ecc.encodeLineInto(line.data(), ref.data());
+        for (unsigned b = 0; b < blob_bytes; ++b)
+            ref[b] ^= mask[b];
+        store.corruptLine(addr, mask);
+        EXPECT_EQ(store.readLine(addr), ref) << "line " << addr;
+    }
+    EXPECT_EQ(padding != kInvalidAddr, pads) << layoutName(layout);
+    EXPECT_EQ(store.lineCount(), slots);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, SnapshotElisionTest,
+    ::testing::Combine(
+        ::testing::Values(LayoutKind::RowStore, LayoutKind::ColumnStore,
+                          LayoutKind::SamAligned,
+                          LayoutKind::VerticalGroup,
+                          LayoutKind::GsSegmented),
+        ::testing::Values(EccScheme::None, EccScheme::SscDsd)),
+    [](const auto &info) {
+        std::string name = layoutName(std::get<0>(info.param)) + "_" +
+                           eccSchemeName(std::get<1>(info.param));
         std::erase(name, '-');
         return name;
     });

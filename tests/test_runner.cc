@@ -6,9 +6,11 @@
  */
 
 #include <atomic>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/json.hh"
 #include "src/core/session.hh"
@@ -289,27 +291,38 @@ TEST(SessionTest, SessionsSharingACacheEncodeOnce)
 
 TEST(TableCacheTest, ColdBuildBytesIdenticalAtAnyThreadCount)
 {
-    // Large enough (>= 2^14 lines total) that the 8-thread cache takes
-    // the parallel encode path rather than the small-build serial
-    // fallback; the snapshots must still match the serial build bit
-    // for bit.
+    // Large enough (>= 2^14 record lines total) that the 8-thread
+    // cache takes the parallel encode path rather than the small-build
+    // serial fallback; the snapshots must still match the serial build
+    // bit for bit. With padding elided the arena alone does not
+    // identify the content, so every slot's blob is compared.
     const Geometry geom;
-    const TableSchema sa{"Ta", 16, 8192};  // 1 MiB
-    const TableSchema sb{"Tb", 8, 4096};   // 256 KiB
-    const Table ta(sa, Addr{1} << 30, LayoutKind::SamAligned, 8, geom);
-    const Table tb(sb, ta.base() + ta.footprintBytes(),
-                   LayoutKind::SamAligned, 8, geom);
+    const TableSchema sa{"Ta", 16, 8192};  // 1 MiB of records
+    const TableSchema sb{"Tb", 8, 4096};   // 256 KiB of records
+    for (LayoutKind layout :
+         {LayoutKind::SamAligned, LayoutKind::VerticalGroup,
+          LayoutKind::ColumnStore}) {
+        const Table ta(sa, Addr{1} << 30, layout, 8, geom);
+        const Table tb(sb, Addr{2} << 30, layout, 8, geom);
 
-    TableCache serial(1);
-    TableCache parallel(8);
-    const auto a = serial.materialized(ta, tb, EccScheme::SscDsd);
-    const auto b = parallel.materialized(ta, tb, EccScheme::SscDsd);
+        TableCache serial(1);
+        TableCache parallel(8);
+        const auto a = serial.materialized(ta, tb, EccScheme::SscDsd);
+        const auto b = parallel.materialized(ta, tb, EccScheme::SscDsd);
 
-    ASSERT_EQ(a->size(), b->size());
-    EXPECT_EQ(a->blobBytes, b->blobBytes);
-    EXPECT_EQ(a->addrs, b->addrs);
-    EXPECT_EQ(a->clean, b->clean);
-    EXPECT_EQ(a->arena, b->arena);
+        const std::string name = layoutName(layout);
+        ASSERT_EQ(a->size(), b->size()) << name;
+        EXPECT_EQ(a->blobBytes, b->blobBytes) << name;
+        EXPECT_EQ(a->addrs, b->addrs) << name;
+        EXPECT_EQ(a->clean, b->clean) << name;
+        EXPECT_EQ(a->arena, b->arena) << name;
+        for (std::size_t slot = 0; slot < a->size(); ++slot) {
+            ASSERT_EQ(std::memcmp(a->blob(slot), b->blob(slot),
+                                  a->blobBytes),
+                      0)
+                << name << " slot " << slot;
+        }
+    }
 }
 
 // ----- Json ----------------------------------------------------------
