@@ -2,20 +2,24 @@
  * @file
  * google-benchmark microbenchmarks for the simulation hot paths this
  * perf work targets: arena trace append, the clean-line ECC read fast
- * path (on vs off), the allocation-free encode+store write path, and
- * an end-to-end phase-1 + replay run reported in records/second.
+ * path (on vs off), the allocation-free encode+store write path, an
+ * end-to-end phase-1 + replay run reported in records/second, and the
+ * protocol oracle reported in commands/second.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "src/cache/sector_cache.hh"
+#include "src/check/protocol_checker.hh"
 #include "src/common/types.hh"
 #include "src/controller/request_queue.hh"
 #include "src/core/session.hh"
 #include "src/dram/data_path.hh"
+#include "src/dram/device.hh"
 #include "src/ecc/ecc_engine.hh"
 #include "src/imdb/query.hh"
 #include "src/sim/event_queue.hh"
@@ -291,6 +295,54 @@ BM_PopBestOpenRowHeavy(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PopBestOpenRowHeavy);
+
+/**
+ * The protocol oracle over a ~100k-command stream of seeded random
+ * Device traffic (a quarter writes, an eighth stride-mode, idle gaps
+ * that force refresh bursts): observe, sort, and check every command,
+ * the work each checked run pays after its replay. Items are commands.
+ */
+void
+BM_ProtocolChecker(benchmark::State &state)
+{
+    const Geometry geom;
+    const TimingParams timing = ddr4Timing();
+    std::vector<Command> stream;
+    {
+        Device device(geom, timing);
+        device.addCommandObserver(
+            &stream, [&stream](const Command &c) { stream.push_back(c); });
+        std::mt19937 rng(42);
+        Cycle t = 0;
+        for (int i = 0; i < 30000; ++i) {
+            DeviceAccess acc;
+            acc.addr.rank = rng() % geom.ranks;
+            acc.addr.bankGroup = rng() % geom.bankGroups;
+            acc.addr.bank = rng() % geom.banksPerGroup;
+            acc.addr.row = rng() % 64;
+            acc.addr.column = rng() % geom.linesPerRow();
+            acc.isWrite = rng() % 4 == 0;
+            acc.mode = rng() % 8 == 0 ? AccessMode::Stride
+                                      : AccessMode::Regular;
+            acc.extraBursts = rng() % 16 == 0 ? 1 : 0;
+            device.access(acc, t);
+            t += rng() % 20;
+            if (rng() % 128 == 0)
+                t += 5000;
+        }
+        device.removeCommandObserver(&stream);
+    }
+    for (auto _ : state) {
+        ProtocolChecker checker(geom, timing);
+        for (const Command &c : stream)
+            checker.observe(c);
+        benchmark::DoNotOptimize(checker.clean());
+    }
+    state.counters["commands"] = static_cast<double>(stream.size());
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * stream.size()));
+}
+BENCHMARK(BM_ProtocolChecker)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

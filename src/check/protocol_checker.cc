@@ -1,6 +1,8 @@
 #include "src/check/protocol_checker.hh"
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <sstream>
 
 #include "src/common/logging.hh"
@@ -34,6 +36,24 @@ kindPriority(CmdKind kind)
 }
 
 /**
+ * Sort key of one observed command: its cycle, then its kind priority
+ * above its observation index (56 bits index any stream that fits in
+ * memory). Keys are unique, so std::sort yields the order a stable
+ * sort of the commands by (cycle, kind priority) would, without moving
+ * a Command.
+ */
+struct SortKey
+{
+    Cycle at;
+    std::uint64_t tie; ///< kindPriority << kObsBits | observation index.
+
+    auto operator<=>(const SortKey &) const = default;
+};
+
+constexpr unsigned kObsBits = 56;
+constexpr std::uint64_t kObsMask = (std::uint64_t{1} << kObsBits) - 1;
+
+/**
  * Signed rendering of `at - since` for violation messages: adversarial
  * streams can place a command before its reference point, where a raw
  * unsigned difference would wrap to a huge number.
@@ -58,6 +78,12 @@ ProtocolChecker::observe(const Command &cmd)
 {
     sam_assert(cmd.addr.channel < geom_.channels &&
                    cmd.addr.rank < geom_.ranks,
+               "observed command outside geometry");
+    // Only channel and rank are meaningful for REF and mode switches.
+    sam_assert(cmd.kind == CmdKind::Ref ||
+                   cmd.kind == CmdKind::ModeSwitch ||
+                   (cmd.addr.bankGroup < geom_.bankGroups &&
+                    cmd.addr.bank < geom_.banksPerGroup),
                "observed command outside geometry");
     commands_.push_back(cmd);
     checked_ = false;
@@ -381,19 +407,22 @@ ProtocolChecker::checkDataBus(const std::vector<Burst> &bursts)
     std::vector<const Burst *> lastRead(
         static_cast<std::size_t>(geom_.channels) * geom_.ranks, nullptr);
     for (const Burst &b : bursts) {
+        const Command &cmd = commands_[b.obs];
+        const Cycle end = b.start + timing_.tBL;
         const Burst *prev = last[b.channel];
         if (prev) {
-            if (b.start < prev->end) {
-                flag("bus-overlap", b.cmd, b.index,
+            const Cycle prev_end = prev->start + timing_.tBL;
+            if (b.start < prev_end) {
+                flag("bus-overlap", cmd, b.index,
                      "data [" + std::to_string(b.start) + ", " +
-                         std::to_string(b.end) +
+                         std::to_string(end) +
                          ") overlaps previous burst ending @" +
-                         std::to_string(prev->end));
+                         std::to_string(prev_end));
             } else if (prev->rank != b.rank &&
-                       b.start < prev->end + timing_.tRTR) {
-                flag("tRTR(bus)", b.cmd, b.index,
+                       b.start < prev_end + timing_.tRTR) {
+                flag("tRTR(bus)", cmd, b.index,
                      "rank switch with only " +
-                         gapStr(b.start, prev->end) +
+                         gapStr(b.start, prev_end) +
                          " bubble cycles, need " +
                          std::to_string(timing_.tRTR));
             }
@@ -402,11 +431,11 @@ ProtocolChecker::checkDataBus(const std::vector<Burst> &bursts)
             static_cast<std::size_t>(b.channel) * geom_.ranks + b.rank;
         if (b.isWrite) {
             const Burst *rd = lastRead[rank_id];
-            if (rd && b.start < rd->end + 2) {
-                flag("rd-wr-turnaround", b.cmd, b.index,
+            if (rd && b.start < rd->start + timing_.tBL + 2) {
+                flag("rd-wr-turnaround", cmd, b.index,
                      "write data @" + std::to_string(b.start) +
                          " follows read data ending @" +
-                         std::to_string(rd->end) +
+                         std::to_string(rd->start + timing_.tBL) +
                          " without a 2-cycle bubble");
             }
         } else {
@@ -420,18 +449,19 @@ void
 ProtocolChecker::run()
 {
     violations_.clear();
-    checked_ = true;
 
     // The engine emits commands in commit order; re-establish wall-clock
     // order before replaying the stream through the state machines.
-    std::vector<Command> sorted = commands_;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Command &a, const Command &b) {
-                         if (a.at != b.at)
-                             return a.at < b.at;
-                         return kindPriority(a.kind) <
-                                kindPriority(b.kind);
-                     });
+    std::vector<SortKey> order;
+    order.reserve(commands_.size());
+    std::size_t cas_count = 0;
+    for (std::size_t i = 0; i < commands_.size(); ++i) {
+        const Command &cmd = commands_[i];
+        const std::uint64_t prio = kindPriority(cmd.kind);
+        order.push_back({cmd.at, (prio << kObsBits) | i});
+        cas_count += cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr;
+    }
+    std::sort(order.begin(), order.end());
 
     std::vector<BankCheck> banks(static_cast<std::size_t>(
         geom_.channels) * geom_.ranks * geom_.banksPerRank());
@@ -447,8 +477,10 @@ ProtocolChecker::run()
     }
 
     std::vector<Burst> bursts;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        const Command &cmd = sorted[i];
+    bursts.reserve(cas_count);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const std::size_t obs = order[i].tie & kObsMask;
+        const Command &cmd = commands_[obs];
         const std::size_t rank_id =
             static_cast<std::size_t>(cmd.addr.channel) * geom_.ranks +
             cmd.addr.rank;
@@ -458,9 +490,6 @@ ProtocolChecker::run()
           case CmdKind::Pre:
           case CmdKind::Rd:
           case CmdKind::Wr: {
-            sam_assert(cmd.addr.bankGroup < geom_.bankGroups &&
-                           cmd.addr.bank < geom_.banksPerGroup,
-                       "observed command outside geometry");
             BankCheck &bank =
                 banks[rank_id * geom_.banksPerRank() +
                       cmd.addr.bankGroup * geom_.banksPerGroup +
@@ -474,11 +503,10 @@ ProtocolChecker::run()
                 Burst b;
                 b.isWrite = cmd.kind == CmdKind::Wr;
                 b.start = cmd.at + (b.isWrite ? timing_.cwl : timing_.cl);
-                b.end = b.start + timing_.tBL;
                 b.channel = cmd.addr.channel;
                 b.rank = cmd.addr.rank;
                 b.index = i;
-                b.cmd = cmd;
+                b.obs = obs;
                 bursts.push_back(b);
             }
             break;
@@ -505,13 +533,17 @@ ProtocolChecker::run()
     }
 
     // Data-bus pass. CAS order and data order can diverge (CL=17 reads
-    // vs CWL=12 writes), so sort bursts by when their data actually
-    // occupies the bus.
-    std::stable_sort(bursts.begin(), bursts.end(),
-                     [](const Burst &a, const Burst &b) {
-                         return a.start < b.start;
-                     });
+    // vs CWL=12 writes), so order bursts by when their data actually
+    // occupies the bus, equal starts in stream order. Bursts arrive in
+    // stream order, so a stream whose CAS all share one latency (every
+    // reads-only run) is already in data order and is not sorted.
+    const auto data_order = [](const Burst &a, const Burst &b) {
+        return a.start != b.start ? a.start < b.start : a.index < b.index;
+    };
+    if (!std::is_sorted(bursts.begin(), bursts.end(), data_order))
+        std::sort(bursts.begin(), bursts.end(), data_order);
     checkDataBus(bursts);
+    checked_ = true;
 }
 
 } // namespace sam

@@ -11,6 +11,11 @@
  * checks pairwise constraints backward -- so a bug in the engine's
  * reservation logic cannot hide itself from the oracle.
  *
+ * Wall-clock order is (cycle, kind priority, observation order): the
+ * checker sorts one 16-byte key per observed command and walks the
+ * observed stream through them, so a check holds the stream once plus
+ * 16 bytes per command and 40 bytes per CAS of transient state.
+ *
  * Checked constraints:
  *  - bank state machine: no CAS to a closed bank or to the wrong row,
  *    no double ACT, ACT only tRP after PRE, REF only with every bank of
@@ -56,7 +61,10 @@ struct Violation
     std::string message;
     /** The offending command. */
     Command cmd;
-    /** Index of the command in the time-sorted stream. */
+    /**
+     * Index of the command in the stream sorted by (cycle, kind
+     * priority, observation order).
+     */
     std::size_t index = 0;
 };
 
@@ -71,7 +79,11 @@ class ProtocolChecker
     ProtocolChecker(const ProtocolChecker &) = delete;
     ProtocolChecker &operator=(const ProtocolChecker &) = delete;
 
-    /** Record one command (any order; sorted before checking). */
+    /**
+     * Record one command (any order; sorted before checking). Panics on
+     * a channel or rank outside the geometry, and on a bank group or
+     * bank outside it for ACT/PRE/RD/WR.
+     */
     void observe(const Command &cmd);
 
     /**
@@ -83,7 +95,8 @@ class ProtocolChecker
 
     /**
      * Sort the observed stream and run all checks. Idempotent until
-     * more commands are observed. Returns all violations found.
+     * more commands are observed; a check that panicked is rerun on
+     * the next call. Returns all violations found.
      */
     const std::vector<Violation> &violations();
 
@@ -126,16 +139,27 @@ class ProtocolChecker
         std::uint64_t refCount = 0;     ///< For the tREFI deadline.
     };
 
-    /** One derived data-bus burst, checked in a second pass. */
+    /**
+     * One derived data-bus burst, checked in a second pass. Its data
+     * occupies [start, start + tBL); the CAS itself stays in
+     * `commands_` and is fetched only to report a violation.
+     */
     struct Burst
     {
-        Cycle start = 0, end = 0;
+        Cycle start = 0;
+        std::size_t index = 0; ///< Sorted-stream index of the CAS.
+        std::size_t obs = 0;   ///< Observation index of the CAS.
         unsigned channel = 0, rank = 0;
         bool isWrite = false;
-        std::size_t index = 0; ///< Sorted-stream index of the CAS.
-        Command cmd;
     };
 
+    /**
+     * Replay the stream in wall-clock order. Sorted position i is the
+     * i-th command of a stable sort by (cycle, kind priority), so
+     * Violation::index names the same command whatever order the
+     * stream was observed in, as long as equal (cycle, kind priority)
+     * commands keep their relative order.
+     */
     void run();
     void flag(const std::string &constraint, const Command &cmd,
               std::size_t index, const std::string &detail);
@@ -157,9 +181,9 @@ class ProtocolChecker
     Geometry geom_;
     TimingParams timing_;
     Device *device_ = nullptr; ///< Attached device (for detach).
-    std::vector<Command> commands_;
+    std::vector<Command> commands_; ///< In observation order.
     std::vector<Violation> violations_;
-    bool checked_ = false;
+    bool checked_ = false; ///< Set only after a complete run().
 };
 
 } // namespace sam
