@@ -22,7 +22,6 @@
 #include "src/dram/device.hh"
 #include "src/ecc/ecc_engine.hh"
 #include "src/imdb/query.hh"
-#include "src/sim/event_queue.hh"
 #include "src/sim/trace.hh"
 
 namespace {
@@ -108,46 +107,17 @@ BM_WriteLineEncoded(benchmark::State &state)
 BENCHMARK(BM_WriteLineEncoded);
 
 /**
- * Raw EventQueue churn: a steady state of `depth` live sources where
- * every pop reschedules its source further out, the access pattern the
- * event engine's wake loop generates (one pop, a handful of pushes).
- */
-void
-BM_EventQueue(benchmark::State &state)
-{
-    const unsigned depth = static_cast<unsigned>(state.range(0));
-    EventQueue q;
-    for (unsigned s = 0; s < depth; ++s)
-        q.push(/*cycle=*/s, /*source=*/s);
-    std::uint64_t n = 0;
-    for (auto _ : state) {
-        const EventQueue::Event e = q.pop();
-        benchmark::DoNotOptimize(e.source);
-        // Reschedule with a deterministic, branchy-looking stride so
-        // the heap sees realistic disorder rather than FIFO rotation.
-        q.push(e.cycle + 1 + (e.seq % 7) * 3, e.source);
-        ++n;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueue)->Arg(8)->Arg(64)->Arg(512);
-
-/**
  * End-to-end phase-1 + MSHR-bounded replay of one design point,
  * reported in table-A records per second of host wall time (the
- * campaign `throughput` metric). Parameterized over the replay engine
- * so `--benchmark_filter=BM_SessionReplay` prints the step-vs-event
- * comparison directly; the two must agree cycle-for-cycle, so any gap
- * between them is pure host-time overhead of the losing loop.
+ * campaign `throughput` metric).
  */
 void
-sessionReplayBench(benchmark::State &state, ReplayEngineKind engine)
+BM_SessionReplay(benchmark::State &state)
 {
     SimConfig cfg;
     cfg.taRecords = 2048;
     cfg.tbRecords = 8192;
     cfg.collectStatsText = false;
-    cfg.engine = engine;
     const Query q = benchmarkQQueries()[0];
     // One shared table cache across iterations, as in a campaign:
     // tables are encoded once, each iteration simulates a fresh system.
@@ -163,19 +133,7 @@ sessionReplayBench(benchmark::State &state, ReplayEngineKind engine)
         static_cast<std::int64_t>(n * cfg.taRecords));
 }
 
-void
-BM_SessionReplay(benchmark::State &state)
-{
-    sessionReplayBench(state, ReplayEngineKind::Event);
-}
 BENCHMARK(BM_SessionReplay)->Unit(benchmark::kMillisecond);
-
-void
-BM_SessionReplayStepEngine(benchmark::State &state)
-{
-    sessionReplayBench(state, ReplayEngineKind::Step);
-}
-BENCHMARK(BM_SessionReplayStepEngine)->Unit(benchmark::kMillisecond);
 
 /**
  * EccEngine construction: with the shared CodecRegistry this is a map

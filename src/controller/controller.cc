@@ -173,18 +173,6 @@ MemoryController::pushScrubs(const ReadOutcome &outcome, Cycle when,
     }
 }
 
-Cycle
-MemoryController::earliestAction()
-{
-    const Cycle r = readQ_.empty() ? kInvalidCycle
-                                   : readQ_.earliestActionable(now_);
-    const Cycle w = writeQ_.empty() ? kInvalidCycle
-                                    : writeQ_.earliestActionable(now_);
-    const Cycle earliest = std::min(r, w);
-    return earliest == kInvalidCycle ? kInvalidCycle
-                                     : std::max(now_, earliest);
-}
-
 std::optional<Completion>
 MemoryController::serviceNext()
 {

@@ -96,15 +96,6 @@ class MemoryController : public RowStateListener
     /** Serve everything currently queued; returns the last done time. */
     Cycle drainAll();
 
-    /**
-     * Earliest cycle serviceNext() could issue its next pick: the
-     * minimum over both queues' earliest actionable arrival, clamped
-     * to the controller clock (which never runs backwards).
-     * kInvalidCycle when idle -- the controller's contribution to an
-     * EventQueue-driven caller.
-     */
-    Cycle earliestAction();
-
     Cycle now() const { return now_; }
     const ControllerStats &stats() const { return stats_; }
     Device &device() { return device_; }

@@ -122,24 +122,6 @@ RequestQueue::maybeCompact()
     }
 }
 
-Cycle
-RequestQueue::earliestActionable(Cycle now)
-{
-    if (live_ == 0)
-        return kInvalidCycle;
-    promote(now);
-    if (eligibleLive_ > 0)
-        return now;
-    while (!pending_.empty()) {
-        const auto &[arrival, seq, idx] = pending_.top();
-        if (slots_[idx].state == SlotState::Pending &&
-            slots_[idx].seq == seq)
-            return arrival;
-        pending_.pop();
-    }
-    panic("request queue indexes lost a live request");
-}
-
 MemRequest
 RequestQueue::popBest(Cycle now, bool &row_hit_pick)
 {

@@ -68,14 +68,6 @@ class RequestQueue
      */
     MemRequest popBest(Cycle now, bool &row_hit_pick);
 
-    /**
-     * Earliest cycle popBest(now, ...) would have a request to act on:
-     * `now` itself when anything has already arrived, otherwise the
-     * earliest live arrival still pending. kInvalidCycle when empty.
-     * Promotes/prunes lazily (like popBest), hence non-const.
-     */
-    Cycle earliestActionable(Cycle now);
-
     /** Row-state transitions forwarded from the Device's listener. */
     void noteRowOpened(std::size_t flat_bank, std::uint64_t row);
     void noteRowClosed(std::size_t flat_bank);

@@ -130,32 +130,6 @@ class Device
         return channels_[channel].busFree;
     }
 
-    // ----- Earliest-action publication -------------------------------
-    // Read-only views of the resource-reservation stamps, published
-    // alongside the RowStateListener hook so schedulers and tests can
-    // feed an EventQueue with the device's next actionable cycles
-    // instead of ticking through stall windows.
-
-    /** The rank's next refresh deadline (tREFI schedule). */
-    Cycle
-    nextRefreshAt(unsigned channel, unsigned rank) const
-    {
-        return ranks_[channel * geom_.ranks + rank].nextRefresh;
-    }
-
-    /**
-     * Bank-local floor for the next command to `addr`'s bank: the next
-     * CAS when the bank's row is open, else the next ACT. Rank-wide
-     * constraints (tCCD/tRRD/tFAW, refresh catch-up, bus occupancy)
-     * still layer on top inside access().
-     */
-    Cycle
-    bankReadyAt(const MappedAddr &addr) const
-    {
-        const BankState &b = bank(addr);
-        return b.rowOpen ? b.casReady : b.actReady;
-    }
-
     /**
      * Observer invoked once per serviced access with its timing
      * outcome (a command-level trace hook for debugging and tools).

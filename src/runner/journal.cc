@@ -30,11 +30,7 @@ wallMs()
             .count());
 }
 
-/** Canonical JSON of everything that determines a run's results.
- *  `config.engine` is deliberately absent: the step and event replay
- *  engines are command-stream and stats identical (enforced by the
- *  engine_diff suite), so a journal written under one engine validly
- *  resumes a campaign running under the other. */
+/** Canonical JSON of everything that determines a run's results. */
 Json
 specIdentityJson(const RunSpec &spec)
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.hh"
-#include "src/sim/event_queue.hh"
 
 namespace sam {
 
@@ -30,32 +29,21 @@ struct CoreState
      * entries instead of churning per-epoch hash maps.
      */
     std::vector<Mshr> window;
+    /**
+     * The window is full and none of its reads has been served. Set
+     * by the retire scan, cleared by any read completion for this
+     * core: until then a poll would re-read the same entry and re-scan
+     * the same window, so the sweep skips the core.
+     */
+    bool mshrStalled = false;
 };
 
 } // namespace
 
-const std::string &
-replayEngineName(ReplayEngineKind kind)
-{
-    static const std::string step = "step";
-    static const std::string event = "event";
-    return kind == ReplayEngineKind::Step ? step : event;
-}
-
-ReplayEngineKind
-parseReplayEngine(const std::string &name)
-{
-    if (name == "step")
-        return ReplayEngineKind::Step;
-    if (name == "event")
-        return ReplayEngineKind::Event;
-    panic("unknown replay engine '", name, "' (want step or event)");
-}
-
 Cycle
-replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
-           MemoryController &controller, DesignModel &model,
-           unsigned mshrs_per_core)
+replayEvent(const std::vector<std::unique_ptr<CorePort>> &ports,
+            MemoryController &controller, DesignModel &model,
+            unsigned mshrs_per_core)
 {
     const unsigned num_cores = static_cast<unsigned>(ports.size());
     std::vector<CoreState> cores(num_cores);
@@ -77,11 +65,12 @@ replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
                          ? cs.trace->epochBegin(epoch)
                          : 0;
             cs.window.clear();
+            cs.mshrStalled = false;
         }
 
         auto issue_some = [&](unsigned c) -> bool {
             CoreState &cs = cores[c];
-            if (epoch >= cs.trace->numEpochs())
+            if (epoch >= cs.trace->numEpochs() || cs.mshrStalled)
                 return false;
             const CoreTrace &trace = *cs.trace;
             const std::size_t end = trace.epochEnd(epoch);
@@ -106,12 +95,13 @@ replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
                             best_i = i;
                         }
                     }
-                    if (best_i == cs.window.size())
+                    if (best_i == cs.window.size()) {
+                        cs.mshrStalled = true;
                         break; // stalled on outstanding misses
+                    }
                     // Swap-with-back: MSHR slots are unordered (the
                     // scan above picks by completion time, entries
-                    // match completions by id), so the O(n) mid-vector
-                    // erase was pure overhead.
+                    // match completions by id).
                     cs.window[best_i] = cs.window.back();
                     cs.window.pop_back();
                     t = std::max(t, best);
@@ -158,237 +148,12 @@ replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
                         }
                     }
                     sam_assert(matched, "orphan completion");
+                    cs.mshrStalled = false;
                 }
                 progress = true;
             }
 
             if (!progress) {
-                bool all_issued = true;
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    if (epoch < cores[c].trace->numEpochs() &&
-                        cores[c].idx <
-                            cores[c].trace->epochEnd(epoch)) {
-                        all_issued = false;
-                    }
-                }
-                sam_assert(all_issued || controller.hasPending(),
-                           "replay deadlock");
-                if (all_issued && !controller.hasPending())
-                    break;
-            }
-        }
-
-        for (const auto &cs : cores)
-            max_done = std::max(max_done, cs.clock);
-    }
-    return max_done;
-}
-
-namespace {
-
-/** Why a core is absent from the event engine's issue sweeps. */
-enum class Wait : std::uint8_t
-{
-    Runnable,      ///< In the sweep.
-    Barrier,       ///< Parked until its epoch-barrier wake pops.
-    Backpressure,  ///< Queue depth exceeded the issue threshold.
-    MshrStall,     ///< Window full, no in-flight read served yet.
-    EpochDone,     ///< All of this epoch's entries issued.
-};
-
-struct EventCoreState : CoreState
-{
-    Wait wait = Wait::Runnable;
-    /** A wake event for this core is already in the queue. */
-    bool queuedWake = false;
-};
-
-} // namespace
-
-Cycle
-replayEvent(const std::vector<std::unique_ptr<CorePort>> &ports,
-            MemoryController &controller, DesignModel &model,
-            unsigned mshrs_per_core)
-{
-    const unsigned num_cores = static_cast<unsigned>(ports.size());
-    std::vector<EventCoreState> cores(num_cores);
-    std::size_t num_epochs = 0;
-    for (unsigned c = 0; c < num_cores; ++c) {
-        cores[c].trace = &ports[c]->trace();
-        cores[c].window.reserve(mshrs_per_core);
-        num_epochs = std::max(num_epochs, cores[c].trace->numEpochs());
-    }
-
-    std::uint64_t next_id = 1;
-    Cycle max_done = 0;
-    EventQueue wakes;
-    unsigned runnable = 0;
-    unsigned backpressured = 0;
-
-    // Publish a stall-release point for a parked core. Idempotent: a
-    // core carries at most one queued wake.
-    const auto publishWake = [&](unsigned c, Cycle at) {
-        EventCoreState &cs = cores[c];
-        if (!cs.queuedWake) {
-            cs.queuedWake = true;
-            wakes.push(at, c);
-        }
-    };
-
-    // Pop every due wake (all queued wakes are due: each is published
-    // the moment its release condition holds) in deterministic
-    // (cycle, source, seq) order and move the cores into the sweep.
-    const auto drainWakes = [&]() {
-        while (!wakes.empty()) {
-            const EventQueue::Event e = wakes.pop();
-            EventCoreState &cs = cores[e.source];
-            cs.queuedWake = false;
-            if (cs.wait != Wait::Runnable && cs.wait != Wait::EpochDone) {
-                if (cs.wait == Wait::Backpressure)
-                    --backpressured;
-                cs.wait = Wait::Runnable;
-                ++runnable;
-            }
-        }
-    };
-
-    for (std::size_t epoch = 0; epoch < num_epochs; ++epoch) {
-        // Barrier: all cores resume together after prior epoch traffic.
-        // Each active core's release is published as an event at its
-        // post-barrier clock instead of being polled into existence.
-        runnable = 0;
-        backpressured = 0;
-        for (unsigned c = 0; c < num_cores; ++c) {
-            EventCoreState &cs = cores[c];
-            cs.clock = std::max(cs.clock, max_done);
-            cs.idx = epoch < cs.trace->numEpochs()
-                         ? cs.trace->epochBegin(epoch)
-                         : 0;
-            cs.window.clear();
-            cs.queuedWake = false;
-            if (epoch < cs.trace->numEpochs() &&
-                cs.idx < cs.trace->epochEnd(epoch)) {
-                cs.wait = Wait::Barrier;
-                publishWake(c, cs.clock);
-            } else {
-                cs.wait = Wait::EpochDone;
-            }
-        }
-
-        // Park the core out of the sweep until a wake re-admits it.
-        const auto block = [&](EventCoreState &cs, Wait why) {
-            cs.wait = why;
-            if (why == Wait::Backpressure)
-                ++backpressured;
-            --runnable;
-        };
-
-        // Identical issue rules to replayStep's issue_some; the only
-        // addition is classifying the exit so the core parks under the
-        // matching release condition instead of being re-polled.
-        auto issue_some = [&](unsigned c) -> bool {
-            EventCoreState &cs = cores[c];
-            const CoreTrace &trace = *cs.trace;
-            const std::size_t end = trace.epochEnd(epoch);
-            bool issued = false;
-            unsigned batch = 0;
-            while (cs.idx < end && batch < 32) {
-                if (controller.readQueueDepth() +
-                        controller.writeQueueDepth() > 256) {
-                    block(cs, Wait::Backpressure);
-                    return issued;
-                }
-                const TraceEntry &e = trace.entries[cs.idx];
-                Cycle t = cs.clock + e.gap;
-                const bool is_read = !isWrite(e.type);
-                if (is_read && cs.window.size() >= mshrs_per_core) {
-                    Cycle best = kInvalidCycle;
-                    std::size_t best_i = cs.window.size();
-                    for (std::size_t i = 0; i < cs.window.size(); ++i) {
-                        if (cs.window[i].done < best) {
-                            best = cs.window[i].done;
-                            best_i = i;
-                        }
-                    }
-                    if (best_i == cs.window.size()) {
-                        block(cs, Wait::MshrStall);
-                        return issued;
-                    }
-                    cs.window[best_i] = cs.window.back();
-                    cs.window.pop_back();
-                    t = std::max(t, best);
-                }
-
-                MemRequest req;
-                if (isStride(e.type)) {
-                    req = model.strideRequest(e.type, trace.lines(e),
-                                              e.lineCount, e.sector, t,
-                                              c);
-                } else {
-                    req = model.lineRequest(e.type, trace.lines(e)[0],
-                                            t, c);
-                }
-                req.id = next_id++;
-                if (is_read)
-                    cs.window.push_back({req.id, kInvalidCycle});
-                controller.push(std::move(req));
-                cs.clock = t;
-                ++cs.idx;
-                issued = true;
-                ++batch;
-            }
-            if (cs.idx >= end)
-                block(cs, Wait::EpochDone);
-            // Else the batch limit hit: the core stays in the sweep.
-            return issued;
-        };
-
-        while (true) {
-            drainWakes();
-            bool progress = false;
-            if (runnable > 0) {
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    if (cores[c].wait != Wait::Runnable)
-                        continue;
-                    progress = issue_some(c) || progress;
-                }
-            }
-
-            if (auto comp = controller.serviceNext()) {
-                max_done = std::max(max_done, comp->done);
-                if (comp->isRead) {
-                    sam_assert(comp->coreId < num_cores,
-                               "orphan completion");
-                    EventCoreState &cs = cores[comp->coreId];
-                    bool matched = false;
-                    for (Mshr &m : cs.window) {
-                        if (m.id == comp->id) {
-                            m.done = comp->done;
-                            matched = true;
-                            break;
-                        }
-                    }
-                    sam_assert(matched, "orphan completion");
-                    // An MSHR retirement: the stalled owner now has a
-                    // known completion to retire against.
-                    if (cs.wait == Wait::MshrStall)
-                        publishWake(comp->coreId, comp->done);
-                }
-                if (backpressured > 0 &&
-                    controller.readQueueDepth() +
-                            controller.writeQueueDepth() <= 256) {
-                    for (unsigned c = 0; c < num_cores; ++c) {
-                        if (cores[c].wait == Wait::Backpressure)
-                            publishWake(c, controller.now());
-                    }
-                }
-                progress = true;
-            }
-
-            if (!progress && wakes.empty()) {
-                // Every core is parked with its release condition
-                // unsatisfiable (no queued traffic left), so the epoch
-                // is complete -- or the replay deadlocked.
                 bool all_issued = true;
                 for (unsigned c = 0; c < num_cores; ++c) {
                     if (epoch < cores[c].trace->numEpochs() &&

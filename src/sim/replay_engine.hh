@@ -1,29 +1,23 @@
 /**
  * @file
- * The two trace-replay engines of phase 2.
+ * The phase-2 trace-replay loop.
  *
- * `replayStep` is the original round-walking loop: every round polls
- * every core for issue opportunities (in core-id order) and then
- * services one request. `replayEvent` replays the same round structure
- * through an EventQueue of stall-release events, so blocked cores are
- * never polled and serve-only spans run without touching the core
- * array at all.
- *
- * Both engines are command-stream identical by construction: the
- * per-round "issue in core-id order, then serve one" discipline fixes
- * the RequestQueue insertion sequence, which FR-FCFS uses for
- * tie-breaking, so any reordering would change scheduling picks. The
- * event engine therefore skips work the step engine provably wastes
- * (polls of cores whose block condition cannot have cleared) instead
- * of reordering work. The cross-engine differential harness
- * (tests/test_engine_diff.cc) pins the equivalence command-by-command.
+ * Each round polls every core for issue opportunities, in core-id
+ * order, and then services one request. That per-round "issue in
+ * core-id order, then serve one" discipline fixes the RequestQueue
+ * insertion sequence, which FR-FCFS uses for tie-breaking, so the
+ * command stream is a pure function of the traces and the controller.
+ * A core whose MSHR window is full with no served read is skipped
+ * until one of its reads completes: its poll could only re-read the
+ * same trace entry and re-scan the same window, so skipping it changes
+ * no state. tests/test_replay_golden.cc pins the resulting command
+ * streams command-by-command.
  */
 
 #ifndef SAM_SIM_REPLAY_ENGINE_HH
 #define SAM_SIM_REPLAY_ENGINE_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/types.hh"
@@ -33,24 +27,11 @@
 
 namespace sam {
 
-/** Which phase-2 replay loop drives the controller. */
-enum class ReplayEngineKind
-{
-    Step,   ///< Original loop: poll every core every round.
-    Event,  ///< EventQueue-driven: skip blocked cores, jump stalls.
-};
-
-const std::string &replayEngineName(ReplayEngineKind kind);
-
-/** Parse "step"/"event"; fatal on anything else. */
-ReplayEngineKind parseReplayEngine(const std::string &name);
-
-/** The original step-walking replay loop (kept behind --engine=step). */
-Cycle replayStep(const std::vector<std::unique_ptr<CorePort>> &ports,
-                 MemoryController &controller, DesignModel &model,
-                 unsigned mshrs_per_core);
-
-/** The EventQueue-driven replay loop (the default engine). */
+/**
+ * Replay every core's trace through `controller`, at most
+ * `mshrs_per_core` reads in flight per core; returns the cycle the
+ * last request or core finished.
+ */
 Cycle replayEvent(const std::vector<std::unique_ptr<CorePort>> &ports,
                   MemoryController &controller, DesignModel &model,
                   unsigned mshrs_per_core);

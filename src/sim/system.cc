@@ -4,6 +4,7 @@
 
 #include "src/check/protocol_checker.hh"
 #include "src/common/logging.hh"
+#include "src/sim/replay_engine.hh"
 
 namespace sam {
 
@@ -179,7 +180,8 @@ System::runQuery(const Query &query)
         telemetry->attach(device);
         controller.setTelemetry(telemetry.get());
     }
-    rs.cycles = replay(ports, controller, model);
+    rs.cycles = replayEvent(ports, controller, model,
+                            config_.mshrsPerCore);
     if (checker) {
         rs.checkedCommands = checker->commandCount();
         if (!checker->clean())
@@ -259,17 +261,6 @@ System::runQuery(const Query &query)
         tp.dirty = true;
     }
     return rs;
-}
-
-Cycle
-System::replay(const std::vector<std::unique_ptr<CorePort>> &ports,
-               MemoryController &controller, DesignModel &model)
-{
-    if (config_.engine == ReplayEngineKind::Step) {
-        return replayStep(ports, controller, model,
-                          config_.mshrsPerCore);
-    }
-    return replayEvent(ports, controller, model, config_.mshrsPerCore);
 }
 
 } // namespace sam

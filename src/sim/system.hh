@@ -33,7 +33,6 @@
 #include "src/imdb/table.hh"
 #include "src/power/power_model.hh"
 #include "src/sim/core_port.hh"
-#include "src/sim/replay_engine.hh"
 #include "src/sim/table_cache.hh"
 #include "src/telemetry/telemetry.hh"
 
@@ -61,16 +60,6 @@ struct SimConfig
 
     Cycle computePerRecord = 1;
     Cycle computePerValue = 1;
-
-    /**
-     * Phase-2 replay engine. The EventQueue-driven engine is the
-     * default; the step-walking loop stays selectable (--engine=step)
-     * so the cross-engine differential harness can drive both from the
-     * same binary. The engines are command-stream identical, so the
-     * choice never changes cycles, stats, or results -- which is also
-     * why it is excluded from the journal's spec identity hash.
-     */
-    ReplayEngineKind engine = ReplayEngineKind::Event;
 
     /**
      * Run the protocol-checker oracle over the replay's command stream
@@ -190,11 +179,6 @@ class System
 
     /** Materialized tables for a layout, rebuilt if dirtied. */
     TablePair &tablesFor(LayoutKind layout);
-
-    /** Timing replay of the captured traces (config_.engine picks the
-     *  loop; both live in src/sim/replay_engine.cc). */
-    Cycle replay(const std::vector<std::unique_ptr<CorePort>> &ports,
-                 MemoryController &controller, DesignModel &model);
 
     SimConfig config_;
     DesignSpec spec_;

@@ -84,32 +84,6 @@ TEST(SamLintDeterminism, KeyedAccessAndNolintAreClean)
                     .empty());
 }
 
-TEST(SamLintDeterminism, EventQueueOrdersByIntegersNotPointersOrHash)
-{
-    // The production replay EventQueue: its heap key is only the
-    // (cycle, source, seq) integers, so the determinism check must
-    // stay quiet on the real header...
-    const SourceFile real = samlint::lexFile(
-        std::string(SAM_SOURCE_DIR) + "/src/sim/event_queue.hh",
-        "src/sim/event_queue.hh");
-    EXPECT_TRUE(runOn({real}, "sam-determinism").empty());
-
-    // ...and fire on the anti-fixture that orders the same events by
-    // allocation address and walks hash order for the minimum.
-    const auto fs = runOn({lexFixture("event_queue_bad.cc")},
-                          "sam-determinism");
-    ASSERT_FALSE(fs.empty());
-    const auto mentions = [&](const std::string &needle) {
-        return std::any_of(fs.begin(), fs.end(),
-                           [&](const Finding &f) {
-                               return f.message.find(needle) !=
-                                      std::string::npos;
-                           });
-    };
-    EXPECT_TRUE(mentions("keyed by pointer"));
-    EXPECT_TRUE(mentions("hash order"));
-}
-
 TEST(SamLintCycle, FlagsForeignMutationAndClockDomainMix)
 {
     const auto fs = runOn({lexFixture("engine/state.hh"),

@@ -70,9 +70,6 @@ usage(int code)
         "                         executor\n"
         "  --no-telemetry         drop the per-run latency histograms\n"
         "                         from the BENCH JSON\n"
-        "  --engine <step|event>  phase-2 replay loop (default event;\n"
-        "                         BENCH/JOURNAL output is identical\n"
-        "                         either way, wall clocks excepted)\n"
         "  --ta <n> / --tb <n>    override table record counts (tiny\n"
         "                         campaigns for smoke tests)\n"
         "  --only <s1,s2,...>     keep only runs whose id contains one\n"
@@ -392,7 +389,6 @@ main(int argc, char **argv)
     std::string out_dir = ".";
     bool verify = false;
     bool telemetry = true;
-    sam::ReplayEngineKind engine = sam::ReplayEngineKind::Event;
     unsigned ta_override = 0;
     unsigned tb_override = 0;
     std::vector<std::string> only;
@@ -448,13 +444,7 @@ main(int argc, char **argv)
             verify = true;
         else if (a == "--no-telemetry")
             telemetry = false;
-        else if (a == "--engine") {
-            const std::string v = next_arg(i, "--engine");
-            if (v != "step" && v != "event")
-                usageError("--engine wants step or event, got '" + v +
-                           "'");
-            engine = sam::parseReplayEngine(v);
-        } else if (a == "--ta")
+        else if (a == "--ta")
             ta_override = parseCount("--ta", next_arg(i, "--ta"), 16,
                                      1u << 24);
         else if (a == "--tb")
@@ -562,10 +552,6 @@ main(int argc, char **argv)
             for (RunSpec &spec : book.specs) {
                 spec.config.telemetry.enabled = telemetry;
                 spec.config.collectStatsText = false;
-                // The engines are command-stream identical, so the
-                // choice is invisible in every output field and stays
-                // out of the journal's spec identity hash.
-                spec.config.engine = engine;
                 if (ta_override != 0)
                     spec.config.taRecords = ta_override;
                 if (tb_override != 0)

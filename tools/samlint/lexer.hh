@@ -3,8 +3,7 @@
  * Token-level C++ reader for samlint.
  *
  * samlint's checks are project-convention checks, not type checks, so
- * a full frontend is not required (and the container toolchain has no
- * clang libTooling; see clang_plugin/ for the optional tidy module).
+ * a full frontend is not required.
  * The lexer produces a comment- and literal-stripped token stream with
  * line numbers, the file's `#include "src/..."` edges (for the
  * bit-identity surface reachability walk), and NOLINT / NOLINTNEXTLINE

@@ -73,9 +73,7 @@ usage(int code)
         "                         JSON of the DRAM command stream\n"
         "                         (open in ui.perfetto.dev)\n"
         "  --telemetry-window <n> time-series window width in cycles\n"
-        "                         (default 4096)\n"
-        "  --engine <step|event>  phase-2 replay loop (default event;\n"
-        "                         both are command-stream identical)\n");
+        "                         (default 4096)\n");
     std::exit(code);
 }
 
@@ -360,13 +358,7 @@ main(int argc, char **argv)
             cfg.telemetry.windowCycles = parseCount(
                 "--telemetry-window",
                 next_arg(i, "--telemetry-window"), 16, 1ull << 32);
-        else if (a == "--engine") {
-            const std::string v = next_arg(i, "--engine");
-            if (v != "step" && v != "event")
-                usageError("--engine wants step or event, got '" + v +
-                           "'");
-            cfg.engine = parseReplayEngine(v);
-        } else
+        else
             usageError("unknown option '" + a + "' (try --help)");
     }
 
