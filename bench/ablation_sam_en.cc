@@ -29,15 +29,14 @@ main()
                 "SAM-en option split, mode-switch sensitivity, and "
                 "MSHR sensitivity (Q3 = SUM(f9) FROM Ta WHERE f10>x)");
 
-    SimConfig cfg = benchConfig();
-    cfg.taRecords = quickMode() ? 2048 : 8192;
-    cfg.tbRecords = 2048;
+    const SimConfig cfg = sweepConfig(scaleMode());
     const Query q3 = benchmarkQQueries()[2];
 
-    BenchCampaign camp;
-    camp.add(DesignKind::Baseline, cfg, q3);
-    camp.add(DesignKind::SamEn, cfg, q3);
-    camp.add(DesignKind::SamIo, cfg, q3);
+    FigureCampaign camp;
+    camp.name = "ablation";
+    camp.add(DesignKind::Baseline, cfg, q3, false);
+    camp.add(DesignKind::SamEn, cfg, q3, false);
+    camp.add(DesignKind::SamIo, cfg, q3, false);
     for (unsigned mshrs : {2u, 4u, 8u, 16u, 32u}) {
         for (DesignKind d : {DesignKind::Baseline, DesignKind::SamEn}) {
             SimConfig vcfg = cfg;
@@ -45,120 +44,119 @@ main()
             vcfg.design = d;
             camp.add("mshr" + std::to_string(mshrs) + "/" +
                          designName(d),
-                     vcfg, q3);
+                     vcfg, q3, false);
         }
     }
-    camp.run();
 
-    const Cycle base_cycles = camp.cycles("baseline/" + q3.name);
+    return runBench(camp, /*verified=*/false, [&] {
+        const Cycle base_cycles = camp.stats("baseline/" + q3.name).cycles;
 
-    // ----- 1. SAM-en option split ------------------------------------
-    {
-        std::cout << "-- SAM-en enhancement options (vs SAM-IO) --\n";
-        TablePrinter tp;
-        tp.header({"variant", "cycles", "RD/WR mW", "total mW",
-                   "speedup vs baseline"});
-
-        struct Variant
+        // ----- 1. SAM-en option split ------------------------------------
         {
-            std::string name;
-            double stride_burst;
-            double stride_act;
-            unsigned cwf_latency;
-        };
-        // SAM-IO: wide fetch (2.5x burst energy), transposed layout
-        // (no CWF). Option 1 fixes the fetch energy; option 2 fixes
-        // the layout; SAM-en has both.
-        const std::vector<Variant> variants = {
-            {"SAM-IO (neither)", 2.5, 1.0, kBurstLength},
-            {"option 1 only (fine-grained act)", 1.0, 0.5,
-             kBurstLength},
-            {"option 2 only (2-D buffer)", 2.5, 1.0, 0},
-            {"SAM-en (both)", 1.0, 0.5, 0},
-        };
-        for (const Variant &v : variants) {
-            const bool is_en = v.cwf_latency == 0;
-            const std::string id =
-                (is_en ? std::string("SAM-en/") : std::string("SAM-IO/")) +
-                q3.name;
-            const RunStats &r = camp.at(id).stats;
-            // Re-price the energy under the variant's power knobs,
-            // using the timing of the design the run came from.
-            const PowerAdjust adj{1.0, v.stride_burst, v.stride_act};
-            SimConfig run_cfg = cfg;
-            run_cfg.design =
-                is_en ? DesignKind::SamEn : DesignKind::SamIo;
-            System timing_probe(run_cfg);
-            const PowerModel pm(ddr4Idd(), timing_probe.timing(), 18,
-                                adj);
-            const double frac =
-                static_cast<double>(r.strideReads + r.strideWrites) /
-                std::max<std::uint64_t>(
-                    1, r.memReads + r.memWrites + r.strideReads +
-                           r.strideWrites);
-            DeviceStats synth; // re-aggregate the counters we kept
-            synth.activates += r.activates;
-            synth.reads += r.memReads;
-            synth.writes += r.memWrites;
-            synth.strideReads += r.strideReads;
-            synth.strideWrites += r.strideWrites;
-            synth.busBusyCycles +=
-                (r.memReads + r.memWrites + r.strideReads +
-                 r.strideWrites) *
-                4;
-            const PowerBreakdown p = pm.compute(synth, r.cycles, frac);
-            tp.row({v.name, std::to_string(r.cycles),
-                    fmtNum(p.rdwrPowerMw(), 1),
-                    fmtNum(p.totalPowerMw(), 1),
-                    fmtNum(static_cast<double>(base_cycles) /
-                           static_cast<double>(r.cycles))});
-        }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
+            std::cout << "-- SAM-en enhancement options (vs SAM-IO) --\n";
+            TablePrinter tp;
+            tp.header({"variant", "cycles", "RD/WR mW", "total mW",
+                       "speedup vs baseline"});
 
-    // ----- 2. Mode-switch cost sensitivity ---------------------------
-    {
-        std::cout << "-- mode-switch (tRTR) cost sweep, SAM-en --\n";
-        TablePrinter tp;
-        tp.header({"switch cycles", "cycles", "mode switches",
-                   "speedup"});
-        const RunStats &r = camp.at("SAM-en/" + q3.name).stats;
-        for (unsigned rtr : {0u, 2u, 8u, 32u, 128u}) {
-            // tRTR is a timing parameter; emulate the sweep by running
-            // with the default and noting switches are rare, except we
-            // can scale the observed switch count cost analytically.
-            const Cycle adjusted =
-                r.cycles + r.modeSwitches *
-                               (static_cast<Cycle>(rtr) -
-                                std::min<Cycle>(rtr, 2));
-            tp.row({std::to_string(rtr), std::to_string(adjusted),
-                    std::to_string(r.modeSwitches),
-                    fmtNum(static_cast<double>(base_cycles) /
-                           static_cast<double>(adjusted))});
+            struct Variant
+            {
+                std::string name;
+                double stride_burst;
+                double stride_act;
+                unsigned cwf_latency;
+            };
+            // SAM-IO: wide fetch (2.5x burst energy), transposed layout
+            // (no CWF). Option 1 fixes the fetch energy; option 2 fixes
+            // the layout; SAM-en has both.
+            const std::vector<Variant> variants = {
+                {"SAM-IO (neither)", 2.5, 1.0, kBurstLength},
+                {"option 1 only (fine-grained act)", 1.0, 0.5,
+                 kBurstLength},
+                {"option 2 only (2-D buffer)", 2.5, 1.0, 0},
+                {"SAM-en (both)", 1.0, 0.5, 0},
+            };
+            for (const Variant &v : variants) {
+                const bool is_en = v.cwf_latency == 0;
+                const std::string id =
+                    (is_en ? std::string("SAM-en/") : std::string("SAM-IO/")) +
+                    q3.name;
+                const RunStats &r = camp.stats(id);
+                // Re-price the energy under the variant's power knobs,
+                // using the timing of the design the run came from.
+                const PowerAdjust adj{1.0, v.stride_burst, v.stride_act};
+                SimConfig run_cfg = cfg;
+                run_cfg.design =
+                    is_en ? DesignKind::SamEn : DesignKind::SamIo;
+                System timing_probe(run_cfg);
+                const PowerModel pm(ddr4Idd(), timing_probe.timing(), 18,
+                                    adj);
+                const double frac =
+                    static_cast<double>(r.strideReads + r.strideWrites) /
+                    std::max<std::uint64_t>(
+                        1, r.memReads + r.memWrites + r.strideReads +
+                               r.strideWrites);
+                DeviceStats synth; // re-aggregate the counters we kept
+                synth.activates += r.activates;
+                synth.reads += r.memReads;
+                synth.writes += r.memWrites;
+                synth.strideReads += r.strideReads;
+                synth.strideWrites += r.strideWrites;
+                synth.busBusyCycles +=
+                    (r.memReads + r.memWrites + r.strideReads +
+                     r.strideWrites) *
+                    4;
+                const PowerBreakdown p = pm.compute(synth, r.cycles, frac);
+                tp.row({v.name, std::to_string(r.cycles),
+                        fmtNum(p.rdwrPowerMw(), 1),
+                        fmtNum(p.totalPowerMw(), 1),
+                        fmtNum(static_cast<double>(base_cycles) /
+                               static_cast<double>(r.cycles))});
+            }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-        tp.print(std::cout);
-        std::cout << "(switches are rare; even 128-cycle switches move "
-                     "the needle by well under 1%)\n\n";
-    }
 
-    // ----- 3. MSHR sensitivity ---------------------------------------
-    {
-        std::cout << "-- MSHR (outstanding misses per core) sweep --\n";
-        TablePrinter tp;
-        tp.header({"MSHRs", "baseline cycles", "SAM-en cycles",
-                   "speedup"});
-        for (unsigned mshrs : {2u, 4u, 8u, 16u, 32u}) {
-            const std::string pre = "mshr" + std::to_string(mshrs) + "/";
-            const Cycle bc = camp.cycles(pre + "baseline");
-            const Cycle sc = camp.cycles(pre + "SAM-en");
-            tp.row({std::to_string(mshrs), std::to_string(bc),
-                    std::to_string(sc),
-                    fmtNum(static_cast<double>(bc) /
-                           static_cast<double>(sc))});
+        // ----- 2. Mode-switch cost sensitivity ---------------------------
+        {
+            std::cout << "-- mode-switch (tRTR) cost sweep, SAM-en --\n";
+            TablePrinter tp;
+            tp.header({"switch cycles", "cycles", "mode switches",
+                       "speedup"});
+            const RunStats &r = camp.stats("SAM-en/" + q3.name);
+            for (unsigned rtr : {0u, 2u, 8u, 32u, 128u}) {
+                // tRTR is a timing parameter; emulate the sweep by running
+                // with the default and noting switches are rare, except we
+                // can scale the observed switch count cost analytically.
+                const Cycle adjusted =
+                    r.cycles + r.modeSwitches *
+                                   (static_cast<Cycle>(rtr) -
+                                    std::min<Cycle>(rtr, 2));
+                tp.row({std::to_string(rtr), std::to_string(adjusted),
+                        std::to_string(r.modeSwitches),
+                        fmtNum(static_cast<double>(base_cycles) /
+                               static_cast<double>(adjusted))});
+            }
+            tp.print(std::cout);
+            std::cout << "(switches are rare; even 128-cycle switches move "
+                         "the needle by well under 1%)\n\n";
         }
-        tp.print(std::cout);
-    }
-    maybeWriteBenchJson("ablation", camp);
-    return 0;
+
+        // ----- 3. MSHR sensitivity ---------------------------------------
+        {
+            std::cout << "-- MSHR (outstanding misses per core) sweep --\n";
+            TablePrinter tp;
+            tp.header({"MSHRs", "baseline cycles", "SAM-en cycles",
+                       "speedup"});
+            for (unsigned mshrs : {2u, 4u, 8u, 16u, 32u}) {
+                const std::string pre = "mshr" + std::to_string(mshrs) + "/";
+                const Cycle bc = camp.stats(pre + "baseline").cycles;
+                const Cycle sc = camp.stats(pre + "SAM-en").cycles;
+                tp.row({std::to_string(mshrs), std::to_string(bc),
+                        std::to_string(sc),
+                        fmtNum(static_cast<double>(bc) /
+                               static_cast<double>(sc))});
+            }
+            tp.print(std::cout);
+        }
+    });
 }

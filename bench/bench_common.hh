@@ -1,51 +1,36 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benches: the evaluated
- * design list, benchmark-scale configuration, campaign plumbing, and
- * result printing.
+ * Shared helpers for the figure-reproduction benches: the scale and
+ * jobs knobs, result printing, and the campaign run.
  *
  * Every bench prints the same rows/series as the corresponding paper
- * figure. Set SAM_SCALE=quick|full|paper to pick the benchmark scale:
- * quick for smoke runs (smaller tables; same shapes, less wall time),
- * full for the committed-baseline scale, paper for the paper's 10M
- * records per table (Table 2). SAM_QUICK=1 is a compatibility alias
- * for SAM_SCALE=quick. Set SAM_JOBS=N to
- * fan the independent simulations across N worker threads (0 or unset
- * = one per host core); the printed tables are byte-identical for any
- * jobs count. Set SAM_BENCH_JSON=<dir> to also emit the campaign's
- * machine-readable BENCH_<figure>.json into that directory.
+ * figure. Set SAM_SCALE=quick|full|paper to pick the benchmark scale
+ * (table sizes in src/runner/figures.hh): quick for smoke runs
+ * (smaller tables; same shapes, less wall time), full for the
+ * committed-baseline scale, paper for the paper's 10M records per
+ * table (Table 2). SAM_QUICK=1 is a compatibility alias for
+ * SAM_SCALE=quick. Set SAM_JOBS=N to fan the independent simulations
+ * across N worker threads (0 or unset = one per host core); the
+ * printed tables are byte-identical for any jobs count. Set
+ * SAM_BENCH_JSON=<dir> to also write the campaign's BENCH_<name>.json
+ * into that directory: the same document samcampaign writes.
  */
 
 #ifndef SAM_BENCH_BENCH_COMMON_HH
 #define SAM_BENCH_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "src/common/logging.hh"
 #include "src/common/table_printer.hh"
 #include "src/core/session.hh"
-#include "src/imdb/query.hh"
-#include "src/runner/campaign.hh"
+#include "src/runner/figures.hh"
 
 namespace sam::bench {
-
-/** The designs of Figure 12, in the paper's bar order. */
-inline std::vector<DesignKind>
-figureDesigns()
-{
-    return {DesignKind::RcNvmBit, DesignKind::RcNvmWord,
-            DesignKind::GsDram,   DesignKind::GsDramEcc,
-            DesignKind::SamSub,   DesignKind::SamIo,
-            DesignKind::SamEn,    DesignKind::Ideal};
-}
-
-/** Benchmark scale: table sizes of the figure campaigns. */
-enum class Scale { Quick, Full, Paper };
 
 /**
  * The scale selected by the environment, resolved once: SAM_SCALE
@@ -59,13 +44,9 @@ scaleMode()
     static const Scale scale = [] {
         const char *s = std::getenv("SAM_SCALE");
         if (s != nullptr && s[0] != '\0') {
-            const std::string v(s);
-            if (v == "quick")
-                return Scale::Quick;
-            if (v == "full")
-                return Scale::Full;
-            if (v == "paper")
-                return Scale::Paper;
+            Scale parsed = Scale::Full;
+            if (parseScale(s, parsed))
+                return parsed;
             std::fprintf(stderr,
                          "SAM_SCALE wants quick, full, or paper; got "
                          "'%s'\n",
@@ -77,23 +58,6 @@ scaleMode()
                                            : Scale::Full;
     }();
     return scale;
-}
-
-inline const char *
-scaleName(Scale s)
-{
-    switch (s) {
-      case Scale::Quick: return "quick";
-      case Scale::Full:  return "full";
-      case Scale::Paper: return "paper";
-    }
-    panic("unknown Scale");
-}
-
-inline const char *
-scaleName()
-{
-    return scaleName(scaleMode());
 }
 
 inline bool
@@ -115,34 +79,6 @@ jobsCount()
     return jobs;
 }
 
-/**
- * Benchmark-scale configuration. Paper scale is Table 2's 10M records
- * per table (Ta 10M x 1KB = 10GB); quick and full scale down (full:
- * Ta 16K x 1KB = 16MB, Tb 64K x 128B = 8MB) -- selectivity,
- * projectivity, and layout alignment are preserved, so relative shapes
- * hold (see DESIGN.md, Substitutions).
- */
-inline SimConfig
-benchConfig()
-{
-    SimConfig cfg;
-    switch (scaleMode()) {
-      case Scale::Quick:
-        cfg.taRecords = 4096;
-        cfg.tbRecords = 8192;
-        break;
-      case Scale::Full:
-        cfg.taRecords = 16384;
-        cfg.tbRecords = 65536;
-        break;
-      case Scale::Paper:
-        cfg.taRecords = 10'000'000;
-        cfg.tbRecords = 10'000'000;
-        break;
-    }
-    return cfg;
-}
-
 inline void
 printHeader(const std::string &title, const std::string &what)
 {
@@ -155,95 +91,41 @@ printHeader(const std::string &title, const std::string &what)
 }
 
 /**
- * A figure bench's campaign: collect RunSpecs (deduplicated by id),
- * fan them across a SAM_JOBS-wide pool, then look results up by id
- * while printing the paper tables.
+ * Run a bench's campaign the way samcampaign runs one -- Supervisor
+ * thread mode on SAM_JOBS workers -- with one attempt per run, then
+ * call `print_tables()` to print the figure from the results. When
+ * SAM_BENCH_JSON names a directory, the campaign's BENCH document goes
+ * there afterwards. A failed run is named with its error instead, and
+ * the bench's exit status becomes 1. Returns the exit status.
  */
-class BenchCampaign
+template <typename PrintTables>
+int
+runBench(FigureCampaign &camp, bool verified, PrintTables &&print_tables)
 {
-  public:
-    BenchCampaign() : runner_(jobsCount()) {}
-
-    /** Queue a run; duplicate ids collapse to the first spec. */
-    void
-    add(std::string id, const SimConfig &config, const Query &query,
-        bool verify = false)
-    {
-        if (index_.count(id))
-            return;
-        index_.emplace(id, specs_.size());
-        specs_.push_back(RunSpec{std::move(id), config, query, verify});
+    SupervisorConfig cfg;
+    cfg.jobs = jobsCount();
+    cfg.retry.maxAttempts = 1;
+    Supervisor supervisor(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    camp.report = supervisor.run(camp.specs);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!camp.report.allDone()) {
+        std::cout << failureLines(camp);
+        return 1;
     }
+    print_tables();
 
-    /** Convenience: id is "<design name>/<query name>". */
-    void
-    add(DesignKind design, const SimConfig &base, const Query &query,
-        bool verify = false)
-    {
-        SimConfig cfg = base;
-        cfg.design = design;
-        add(designName(design) + "/" + query.name, cfg, query, verify);
-    }
-
-    /** Run everything queued; callable once. */
-    void
-    run()
-    {
-        sam_assert(results_.empty(), "campaign already ran");
-        results_ = runner_.run(specs_);
-    }
-
-    const RunResult &
-    at(const std::string &id) const
-    {
-        auto it = index_.find(id);
-        sam_assert(it != index_.end(), "no campaign run '", id, "'");
-        return results_.at(it->second);
-    }
-
-    Cycle
-    cycles(const std::string &id) const
-    {
-        const Cycle c = at(id).stats.cycles;
-        sam_assert(c > 0, "run '", id, "' produced no work");
-        return c;
-    }
-
-    /** Figure 12 metric: baseline cycles over design cycles. */
-    double
-    speedup(const std::string &design_id,
-            const std::string &baseline_id) const
-    {
-        return static_cast<double>(cycles(baseline_id)) /
-               static_cast<double>(cycles(design_id));
-    }
-
-    unsigned jobs() const { return runner_.jobs(); }
-    const std::vector<RunResult> &results() const { return results_; }
-
-  private:
-    CampaignRunner runner_;
-    std::vector<RunSpec> specs_;
-    std::vector<RunResult> results_;
-    std::map<std::string, std::size_t> index_;
-};
-
-/**
- * When SAM_BENCH_JSON names a directory, dump the campaign's raw runs
- * to <dir>/BENCH_<figure>.json for tools/bench_diff.py.
- */
-inline void
-maybeWriteBenchJson(const std::string &figure, const BenchCampaign &camp)
-{
     const char *dir = std::getenv("SAM_BENCH_JSON");
     if (dir == nullptr || dir[0] == '\0')
-        return;
-    Json doc = campaignJson(figure, camp.jobs(), camp.results());
-    doc.set("scale", scaleName());
+        return 0;
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
     const std::string path =
-        std::string(dir) + "/BENCH_" + figure + ".json";
-    writeJsonFile(path, doc);
+        std::string(dir) + "/BENCH_" + camp.name + ".json";
+    writeJsonFile(path, benchDocument(camp, supervisor.jobs(),
+                                      scaleMode(), verified, wall_ms));
     std::cout << "wrote " << path << "\n";
+    return 0;
 }
 
 } // namespace sam::bench

@@ -4,9 +4,10 @@
  * baseline) of every design on the Q1-Q12 (column-preferring) and
  * Qs1-Qs6 (row-preferring) benchmark queries, with geometric means.
  *
- * All (design x query) simulations are independent, so they fan out
- * across the SAM_JOBS campaign pool; the table is printed from the
- * collected results and is byte-identical for any jobs count.
+ * The grid is samcampaign's fig12 campaign (src/runner/figures.hh);
+ * its independent (design x query) simulations fan out across the
+ * SAM_JOBS campaign pool, and the table is printed from the collected
+ * results, byte-identical for any jobs count.
  *
  * Paper reference points (gmean over Q / degradation on Qs):
  *   SAM-sub 3.8x / -30%, SAM-IO 4.1x / <1%, SAM-en 4.2x / <1%,
@@ -27,55 +28,35 @@ main()
                 "Speedup (normalized to row-store) of all designs on "
                 "the Table 3 queries");
 
-    const SimConfig cfg = benchConfig();
-    const auto designs = figureDesigns();
-    const auto qq = benchmarkQQueries();
-    const auto qs = benchmarkQsQueries();
+    FigureCampaign camp =
+        buildFigure("fig12", scaleMode(), /*verify=*/true);
 
-    BenchCampaign camp;
-    for (const auto *queries : {&qq, &qs}) {
-        for (const Query &q : *queries) {
-            camp.add(DesignKind::Baseline, cfg, q);
-            for (DesignKind d : designs)
-                camp.add(d, cfg, q, /*verify=*/true);
-        }
-    }
-    camp.run();
-
-    auto run_block = [&](const std::vector<Query> &queries,
-                         const std::string &gmean_label) {
+    auto print_block = [&](const std::vector<Query> &queries,
+                           const std::string &gmean_label) {
         TablePrinter tp;
         std::vector<std::string> head{"query"};
-        for (DesignKind d : designs)
+        for (DesignKind d : figureDesigns())
             head.push_back(designName(d));
         tp.header(head);
-
-        std::map<DesignKind, std::vector<double>> speedups;
         for (const Query &q : queries) {
             std::vector<std::string> row{q.name};
-            const std::string base_id = "baseline/" + q.name;
-            for (DesignKind d : designs) {
-                const double sp =
-                    camp.speedup(designName(d) + "/" + q.name, base_id);
-                row.push_back(fmtNum(sp));
-                speedups[d].push_back(sp);
-            }
+            for (DesignKind d : figureDesigns())
+                row.push_back(fmtNum(fig12Speedup(camp, d, q)));
             tp.row(row);
         }
         tp.separator();
         std::vector<std::string> gm{gmean_label};
-        for (DesignKind d : designs)
-            gm.push_back(fmtNum(geometricMean(speedups[d])));
+        for (DesignKind d : figureDesigns())
+            gm.push_back(fmtNum(fig12Gmean(camp, d, queries)));
         tp.row(gm);
         tp.print(std::cout);
         std::cout << "\n";
     };
 
-    run_block(qq, "Gmean(Q)");
-    run_block(qs, "Gmean(Qs)");
-
-    std::cout << "Every result above was verified against the pure "
-                 "reference executor.\n";
-    maybeWriteBenchJson("fig12", camp);
-    return 0;
+    return runBench(camp, /*verified=*/true, [&] {
+        print_block(benchmarkQQueries(), "Gmean(Q)");
+        print_block(benchmarkQsQueries(), "Gmean(Qs)");
+        std::cout << "Every result above was verified against the pure "
+                     "reference executor.\n";
+    });
 }

@@ -6,9 +6,9 @@
  * read-type Q (Q1-Q10), write-type Q (Q11-Q12), read-type Qs
  * (Qs1-Qs4), write-type Qs (Qs5-Qs6).
  *
- * Every (design x query) run is independent; the campaign pool
- * executes them in parallel and the category aggregation happens on
- * the collected per-run power breakdowns.
+ * The grid is samcampaign's fig13 campaign (src/runner/figures.hh);
+ * the campaign pool executes its runs in parallel and the category
+ * aggregation happens on the collected per-run power breakdowns.
  *
  * Paper reference points: SAM-IO read-Q power ~1.8x baseline but
  * energy efficiency 2.4x; SAM-en power near baseline; NVM designs show
@@ -29,80 +29,32 @@ main()
                 "Power (mW) and energy efficiency (normalized to "
                 "row-store) by query category");
 
-    const SimConfig cfg = benchConfig();
-    const auto designs = figureDesigns();
+    FigureCampaign camp =
+        buildFigure("fig13", scaleMode(), /*verify=*/false);
 
-    const auto qq = benchmarkQQueries();
-    const auto qs = benchmarkQsQueries();
-    struct Category
-    {
-        std::string name;
-        std::vector<Query> queries;
-    };
-    std::vector<Category> cats(4);
-    cats[0].name = "Read (Q1-Q10)";
-    cats[1].name = "Write (Q11,Q12)";
-    cats[2].name = "Read (Qs1-Qs4)";
-    cats[3].name = "Write (Qs5,Qs6)";
-    for (std::size_t i = 0; i < qq.size(); ++i)
-        cats[i < 10 ? 0 : 1].queries.push_back(qq[i]);
-    for (std::size_t i = 0; i < qs.size(); ++i)
-        cats[i < 4 ? 2 : 3].queries.push_back(qs[i]);
-
-    BenchCampaign camp;
-    for (const Category &cat : cats) {
-        for (const Query &q : cat.queries) {
-            camp.add(DesignKind::Baseline, cfg, q);
-            for (DesignKind d : designs) {
-                if (d == DesignKind::Ideal)
-                    continue; // the paper's ideal bar is layout only
-                camp.add(d, cfg, q);
+    return runBench(camp, /*verified=*/false, [&] {
+        for (const PowerCategory &cat : powerCategories()) {
+            std::cout << "-- " << cat.title << " --\n";
+            TablePrinter tp;
+            tp.header({"design", "background mW", "RD/WR mW", "ACT mW",
+                       "total mW", "energy eff."});
+            const PowerBreakdown base =
+                categoryPower(camp, DesignKind::Baseline, cat.queries);
+            tp.row({"baseline", fmtNum(base.backgroundPowerMw(), 1),
+                    fmtNum(base.rdwrPowerMw(), 1),
+                    fmtNum(base.actPowerMw(), 1),
+                    fmtNum(base.totalPowerMw(), 1), fmtNum(1.0)});
+            for (DesignKind d : powerDesigns()) {
+                const PowerBreakdown p =
+                    categoryPower(camp, d, cat.queries);
+                tp.row({designName(d), fmtNum(p.backgroundPowerMw(), 1),
+                        fmtNum(p.rdwrPowerMw(), 1),
+                        fmtNum(p.actPowerMw(), 1),
+                        fmtNum(p.totalPowerMw(), 1),
+                        fmtNum(energyEfficiency(base, p))});
             }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-    }
-    camp.run();
-
-    for (const Category &cat : cats) {
-        std::cout << "-- " << cat.name << " --\n";
-        TablePrinter tp;
-        tp.header({"design", "background mW", "RD/WR mW", "ACT mW",
-                   "total mW", "energy eff."});
-
-        // Aggregate energy and elapsed time over the category.
-        auto aggregate = [&](DesignKind d) {
-            PowerBreakdown sum;
-            for (const Query &q : cat.queries) {
-                const RunStats &r =
-                    camp.at(designName(d) + "/" + q.name).stats;
-                sum.actEnergyPj += r.power.actEnergyPj;
-                sum.rdwrEnergyPj += r.power.rdwrEnergyPj;
-                sum.backgroundEnergyPj += r.power.backgroundEnergyPj;
-                sum.refreshEnergyPj += r.power.refreshEnergyPj;
-                sum.elapsedNs += r.power.elapsedNs;
-            }
-            return sum;
-        };
-
-        const PowerBreakdown base = aggregate(DesignKind::Baseline);
-        tp.row({"baseline", fmtNum(base.backgroundPowerMw(), 1),
-                fmtNum(base.rdwrPowerMw(), 1),
-                fmtNum(base.actPowerMw(), 1),
-                fmtNum(base.totalPowerMw(), 1), fmtNum(1.0)});
-        for (DesignKind d : designs) {
-            if (d == DesignKind::Ideal)
-                continue;
-            const PowerBreakdown p = aggregate(d);
-            const double eff = p.totalEnergyPj() > 0
-                ? base.totalEnergyPj() / p.totalEnergyPj()
-                : 0.0;
-            tp.row({designName(d), fmtNum(p.backgroundPowerMw(), 1),
-                    fmtNum(p.rdwrPowerMw(), 1),
-                    fmtNum(p.actPowerMw(), 1),
-                    fmtNum(p.totalPowerMw(), 1), fmtNum(eff)});
-        }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
-    maybeWriteBenchJson("fig13", camp);
-    return 0;
+    });
 }

@@ -26,7 +26,7 @@ main()
                 "substrates (all queries, normalized to row-store "
                 "DRAM)");
 
-    const SimConfig base_cfg = benchConfig();
+    const SimConfig base_cfg = campaignConfig(scaleMode());
 
     auto all_queries = benchmarkQQueries();
     const auto qs = benchmarkQsQueries();
@@ -37,10 +37,11 @@ main()
         DesignKind::SamEn};
     const std::vector<MemTech> techs = {MemTech::RRAM, MemTech::DRAM};
 
-    BenchCampaign camp;
+    FigureCampaign camp;
+    camp.name = "fig14a";
     for (const Query &q : all_queries) {
         // Baseline: commodity DRAM row-store (no substrate override).
-        camp.add(DesignKind::Baseline, base_cfg, q);
+        camp.add(DesignKind::Baseline, base_cfg, q, false);
         for (DesignKind d : designs) {
             for (MemTech tech : techs) {
                 SimConfig cfg = base_cfg;
@@ -49,29 +50,28 @@ main()
                 cfg.tech = tech;
                 camp.add(designName(d) + "/" + memTechName(tech) + "/" +
                              q.name,
-                         cfg, q);
+                         cfg, q, false);
             }
         }
     }
-    camp.run();
 
-    TablePrinter tp;
-    tp.header({"design", "NVM substrate", "DRAM substrate"});
-    for (DesignKind d : designs) {
-        std::vector<std::string> row{designName(d)};
-        for (MemTech tech : techs) {
-            std::vector<double> sp;
-            for (const Query &q : all_queries) {
-                sp.push_back(camp.speedup(
-                    designName(d) + "/" + memTechName(tech) + "/" +
-                        q.name,
-                    "baseline/" + q.name));
+    return runBench(camp, /*verified=*/false, [&] {
+        TablePrinter tp;
+        tp.header({"design", "NVM substrate", "DRAM substrate"});
+        for (DesignKind d : designs) {
+            std::vector<std::string> row{designName(d)};
+            for (MemTech tech : techs) {
+                std::vector<double> sp;
+                for (const Query &q : all_queries) {
+                    sp.push_back(camp.speedup(
+                        designName(d) + "/" + memTechName(tech) + "/" +
+                            q.name,
+                        "baseline/" + q.name));
+                }
+                row.push_back(fmtNum(geometricMean(sp)));
             }
-            row.push_back(fmtNum(geometricMean(sp)));
+            tp.row(row);
         }
-        tp.row(row);
-    }
-    tp.print(std::cout);
-    maybeWriteBenchJson("fig14a", camp);
-    return 0;
+        tp.print(std::cout);
+    });
 }

@@ -25,7 +25,7 @@ main()
                 "Gmean speedup on Q queries vs strided granularity "
                 "(chipkill symbol size)");
 
-    const SimConfig base_cfg = benchConfig();
+    const SimConfig base_cfg = campaignConfig(scaleMode());
     const auto queries = benchmarkQQueries();
     const std::vector<DesignKind> designs = {
         DesignKind::RcNvmWord, DesignKind::GsDramEcc, DesignKind::SamEn};
@@ -37,43 +37,43 @@ main()
         return eccSchemeName(ecc) + "/" + design + "/" + q.name;
     };
 
-    BenchCampaign camp;
+    FigureCampaign camp;
+    camp.name = "fig14b";
     for (EccScheme ecc : schemes) {
         for (const Query &q : queries) {
             SimConfig bcfg = base_cfg;
             bcfg.ecc = ecc;
             bcfg.design = DesignKind::Baseline;
-            camp.add(run_id(ecc, "baseline", q), bcfg, q);
+            camp.add(run_id(ecc, "baseline", q), bcfg, q, false);
             for (DesignKind d : designs) {
                 SimConfig cfg = base_cfg;
                 cfg.ecc = ecc;
                 cfg.design = d;
-                camp.add(run_id(ecc, designName(d), q), cfg, q);
+                camp.add(run_id(ecc, designName(d), q), cfg, q, false);
             }
         }
     }
-    camp.run();
 
-    TablePrinter tp;
-    tp.header({"granularity", "chunk", "G", "RC-NVM-wd", "GS-DRAM-ecc",
-               "SAM-en"});
-    for (EccScheme ecc : schemes) {
-        std::vector<std::string> row{
-            std::to_string(strideGranularityBits(ecc)) + "-bit (" +
-                eccSchemeName(ecc) + ")",
-            std::to_string(strideUnitBytes(ecc)) + "B",
-            std::to_string(gatherFactor(ecc))};
-        for (DesignKind d : designs) {
-            std::vector<double> sp;
-            for (const Query &q : queries) {
-                sp.push_back(camp.speedup(run_id(ecc, designName(d), q),
-                                          run_id(ecc, "baseline", q)));
+    return runBench(camp, /*verified=*/false, [&] {
+        TablePrinter tp;
+        tp.header({"granularity", "chunk", "G", "RC-NVM-wd", "GS-DRAM-ecc",
+                   "SAM-en"});
+        for (EccScheme ecc : schemes) {
+            std::vector<std::string> row{
+                std::to_string(strideGranularityBits(ecc)) + "-bit (" +
+                    eccSchemeName(ecc) + ")",
+                std::to_string(strideUnitBytes(ecc)) + "B",
+                std::to_string(gatherFactor(ecc))};
+            for (DesignKind d : designs) {
+                std::vector<double> sp;
+                for (const Query &q : queries) {
+                    sp.push_back(camp.speedup(run_id(ecc, designName(d), q),
+                                              run_id(ecc, "baseline", q)));
+                }
+                row.push_back(fmtNum(geometricMean(sp)));
             }
-            row.push_back(fmtNum(geometricMean(sp)));
+            tp.row(row);
         }
-        tp.row(row);
-    }
-    tp.print(std::cout);
-    maybeWriteBenchJson("fig14b", camp);
-    return 0;
+        tp.print(std::cout);
+    });
 }

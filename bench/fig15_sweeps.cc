@@ -12,9 +12,11 @@
  *   (h)     aggregate query, projectivity sweep at 100% selectivity;
  *   (i)     record-size sweep at 100% selectivity and projectivity.
  *
- * Every sweep point is an independent simulation; the whole grid
- * (deduplicated across overlapping panels) fans out across the
- * SAM_JOBS campaign pool before the panels are printed.
+ * Panels (a)-(h) are samcampaign's fig15 campaign
+ * (src/runner/figures.hh); the record-size points of (i) are this
+ * bench's own. Every sweep point is an independent simulation; the
+ * whole grid (deduplicated across overlapping panels) fans out across
+ * the SAM_JOBS campaign pool before the panels are printed.
  *
  * Paper reference shapes: speedup rises with selectivity and falls
  * with projectivity (the row store catches up); the aggregate query
@@ -30,54 +32,24 @@ using namespace sam::bench;
 
 namespace {
 
-const std::vector<DesignKind> kPanelDesigns = {
-    DesignKind::RcNvmWord, DesignKind::GsDramEcc, DesignKind::SamEn,
-    DesignKind::Ideal};
+const std::vector<unsigned> kRecordFields = {1, 2, 4, 8, 16, 32, 64, 128};
 
-SimConfig
-sweepConfig()
-{
-    SimConfig cfg = benchConfig();
-    cfg.taRecords = quickMode() ? 2048 : 8192;
-    cfg.tbRecords = 2048; // unused by the Ta-only sweeps
-    return cfg;
-}
-
-/** Stable id of one sweep point, e.g. "arith/p8/s40". */
+/** Stable id of one record-size point, e.g. "rec64B". */
 std::string
-pointId(const char *kind, unsigned proj, double sel)
+recordId(unsigned fields)
 {
-    return std::string(kind) + "/p" + std::to_string(proj) + "/s" +
-           std::to_string(static_cast<unsigned>(sel * 100 + 0.5));
-}
-
-/** Queue one sweep point (all panel designs plus the baseline). */
-void
-addPoint(BenchCampaign &camp, const SimConfig &cfg,
-         const std::string &point, const Query &q)
-{
-    camp.add(point + "/baseline", [&] {
-        SimConfig c = cfg;
-        c.design = DesignKind::Baseline;
-        return c;
-    }(), q);
-    for (DesignKind d : kPanelDesigns) {
-        SimConfig c = cfg;
-        c.design = d;
-        camp.add(point + "/" + designName(d), c, q, /*verify=*/true);
-    }
+    return "rec" + std::to_string(fields * 8) + "B";
 }
 
 /** Print one panel row from the campaign results. */
 void
-panelRow(const BenchCampaign &camp, const std::string &point,
+panelRow(const FigureCampaign &camp, const std::string &point,
          TablePrinter &tp, const std::string &x_label)
 {
     std::vector<std::string> row{x_label};
-    for (DesignKind d : kPanelDesigns) {
+    for (DesignKind d : sweepDesigns())
         row.push_back(fmtNum(camp.speedup(point + "/" + designName(d),
                                           point + "/baseline")));
-    }
     tp.row(row);
 }
 
@@ -85,7 +57,7 @@ std::vector<std::string>
 panelHeader(const std::string &x_name)
 {
     std::vector<std::string> head{x_name};
-    for (DesignKind d : kPanelDesigns)
+    for (DesignKind d : sweepDesigns())
         head.push_back(designName(d));
     return head;
 }
@@ -100,112 +72,90 @@ main()
                 "Speedup sweeps of the arithmetic / aggregate queries "
                 "over selectivity, projectivity, and record size");
 
-    const SimConfig cfg = sweepConfig();
+    const SimConfig cfg = sweepConfig(scaleMode());
     const unsigned nf = cfg.taFields;
-    const std::vector<double> sels = {0.1, 0.2, 0.3, 0.4, 0.5,
-                                      0.6, 0.7, 0.8, 0.9, 1.0};
-    const std::vector<unsigned> projs = {2, 4, 8, 16, 32, 64, nf};
+    const SweepAxes axes = sweepAxes(nf);
 
-    auto recordId = [](unsigned fields) {
-        return "rec" + std::to_string(fields * 8) + "B";
-    };
-    auto recordConfig = [&](unsigned fields) {
-        SimConfig scfg = cfg;
-        scfg.taFields = fields;
+    FigureCampaign camp =
+        buildFigure("fig15", scaleMode(), /*verify=*/true);
+    for (unsigned fields : kRecordFields) {
+        SimConfig rcfg = cfg;
+        rcfg.taFields = fields;
         // Keep the scanned volume roughly constant.
-        scfg.taRecords = std::max<std::uint64_t>(
+        rcfg.taRecords = std::max<std::uint64_t>(
             1024, cfg.taRecords * nf / fields / 4);
-        return scfg;
-    };
-
-    BenchCampaign camp;
-    for (unsigned proj : {8u, 64u, nf})
-        for (double sel : sels)
-            addPoint(camp, cfg, pointId("arith", proj, sel),
-                     arithQuery(proj, sel, nf));
-    for (double sel : {0.1, 0.5, 1.0})
-        for (unsigned proj : projs)
-            addPoint(camp, cfg, pointId("arith", proj, sel),
-                     arithQuery(proj, sel, nf));
-    for (double sel : sels)
-        addPoint(camp, cfg, pointId("aggr", 8, sel),
-                 aggrQuery(8, sel, nf));
-    for (unsigned proj : projs)
-        addPoint(camp, cfg, pointId("aggr", proj, 1.0),
-                 aggrQuery(proj, 1.0, nf));
-    for (unsigned fields : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-        addPoint(camp, recordConfig(fields), recordId(fields),
-                 aggrQuery(fields, 1.0, fields));
+        addSweepPoint(camp, rcfg, recordId(fields),
+                      aggrQuery(fields, 1.0, fields), /*verify=*/true);
     }
-    camp.run();
 
-    // ----- (a)-(c): arithmetic, selectivity sweeps -------------------
-    for (unsigned proj : {8u, 64u, nf}) {
-        std::cout << "-- (a-c) arithmetic query, " << proj
-                  << " fields projected, selectivity sweep --\n";
-        TablePrinter tp;
-        tp.header(panelHeader("selectivity"));
-        for (double sel : sels) {
-            panelRow(camp, pointId("arith", proj, sel), tp,
-                     fmtPercent(sel, 0));
+    return runBench(camp, /*verified=*/true, [&] {
+        // ----- (a)-(c): arithmetic, selectivity sweeps ---------------
+        for (unsigned proj : axes.selectivityPanels) {
+            std::cout << "-- (a-c) arithmetic query, " << proj
+                      << " fields projected, selectivity sweep --\n";
+            TablePrinter tp;
+            tp.header(panelHeader("selectivity"));
+            for (double sel : axes.selectivities) {
+                panelRow(camp, sweepPointId("arith", proj, sel), tp,
+                         fmtPercent(sel, 0));
+            }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
 
-    // ----- (d)-(f): arithmetic, projectivity sweeps ------------------
-    for (double sel : {0.1, 0.5, 1.0}) {
-        std::cout << "-- (d-f) arithmetic query, "
-                  << fmtPercent(sel, 0)
-                  << " records selected, projectivity sweep --\n";
-        TablePrinter tp;
-        tp.header(panelHeader("fields"));
-        for (unsigned proj : projs) {
-            panelRow(camp, pointId("arith", proj, sel), tp,
-                     std::to_string(proj));
+        // ----- (d)-(f): arithmetic, projectivity sweeps --------------
+        for (double sel : axes.projectivityPanels) {
+            std::cout << "-- (d-f) arithmetic query, "
+                      << fmtPercent(sel, 0)
+                      << " records selected, projectivity sweep --\n";
+            TablePrinter tp;
+            tp.header(panelHeader("fields"));
+            for (unsigned proj : axes.projectivities) {
+                panelRow(camp, sweepPointId("arith", proj, sel), tp,
+                         std::to_string(proj));
+            }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
 
-    // ----- (g): aggregate, selectivity sweep -------------------------
-    {
-        std::cout << "-- (g) aggregate query, 8 fields projected, "
-                     "selectivity sweep --\n";
-        TablePrinter tp;
-        tp.header(panelHeader("selectivity"));
-        for (double sel : sels) {
-            panelRow(camp, pointId("aggr", 8, sel), tp,
-                     fmtPercent(sel, 0));
+        // ----- (g): aggregate, selectivity sweep ---------------------
+        {
+            std::cout << "-- (g) aggregate query, 8 fields projected, "
+                         "selectivity sweep --\n";
+            TablePrinter tp;
+            tp.header(panelHeader("selectivity"));
+            for (double sel : axes.selectivities) {
+                panelRow(camp, sweepPointId("aggr", 8, sel), tp,
+                         fmtPercent(sel, 0));
+            }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
 
-    // ----- (h): aggregate, projectivity sweep ------------------------
-    {
-        std::cout << "-- (h) aggregate query, 100% records selected, "
-                     "projectivity sweep --\n";
-        TablePrinter tp;
-        tp.header(panelHeader("fields"));
-        for (unsigned proj : projs) {
-            panelRow(camp, pointId("aggr", proj, 1.0), tp,
-                     std::to_string(proj));
+        // ----- (h): aggregate, projectivity sweep --------------------
+        {
+            std::cout << "-- (h) aggregate query, 100% records "
+                         "selected, projectivity sweep --\n";
+            TablePrinter tp;
+            tp.header(panelHeader("fields"));
+            for (unsigned proj : axes.projectivities) {
+                panelRow(camp, sweepPointId("aggr", proj, 1.0), tp,
+                         std::to_string(proj));
+            }
+            tp.print(std::cout);
+            std::cout << "\n";
         }
-        tp.print(std::cout);
-        std::cout << "\n";
-    }
 
-    // ----- (i): record-size sweep ------------------------------------
-    {
-        std::cout << "-- (i) record-size sweep, 100% selectivity and "
-                     "projectivity --\n";
-        TablePrinter tp;
-        tp.header(panelHeader("record"));
-        for (unsigned fields : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u})
-            panelRow(camp, recordId(fields), tp, recordId(fields).substr(3));
-        tp.print(std::cout);
-    }
-    maybeWriteBenchJson("fig15", camp);
-    return 0;
+        // ----- (i): record-size sweep --------------------------------
+        {
+            std::cout << "-- (i) record-size sweep, 100% selectivity "
+                         "and projectivity --\n";
+            TablePrinter tp;
+            tp.header(panelHeader("record"));
+            for (unsigned fields : kRecordFields)
+                panelRow(camp, recordId(fields), tp,
+                         recordId(fields).substr(3));
+            tp.print(std::cout);
+        }
+    });
 }

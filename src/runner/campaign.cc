@@ -1,53 +1,8 @@
 #include "src/runner/campaign.hh"
 
-#include <chrono>
-
 #include "src/common/types.hh"
-#include "src/core/session.hh"
 
 namespace sam {
-
-CampaignRunner::CampaignRunner(unsigned jobs)
-    : tables_(std::make_shared<TableCache>()), pool_(jobs)
-{
-}
-
-std::vector<RunResult>
-CampaignRunner::run(const std::vector<RunSpec> &specs)
-{
-    std::vector<RunResult> results(specs.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        tasks.push_back([this, &specs, &results, i] {
-            const RunSpec &spec = specs[i];
-            // Wall-clock here feeds only wallMs reporting, never any
-            // simulated state -- the one sanctioned clock read on the
-            // bit-identity surface.
-            // NOLINTNEXTLINE(sam-determinism)
-            const auto t0 = std::chrono::steady_clock::now();
-            // A fresh Session per run: per-system counters accumulate
-            // across queries, so sharing one Session across runs would
-            // make statsText depend on scheduling order.
-            Session session(spec.config, tables_);
-            RunStats stats = session.run(spec.config.design, spec.query);
-            if (spec.verify)
-                session.checkResult(spec.query, stats);
-            // NOLINTNEXTLINE(sam-determinism)
-            const auto t1 = std::chrono::steady_clock::now();
-            RunResult &r = results[i];
-            r.id = spec.id;
-            r.design = spec.config.design;
-            r.query = spec.query.name;
-            r.stats = std::move(stats);
-            r.wallMs = std::chrono::duration<double, std::milli>(
-                t1 - t0).count();
-            r.records = spec.config.taRecords;
-        });
-    }
-    pool_.run(std::move(tasks));
-    return results;
-}
 
 Json
 runResultJson(const RunResult &result)
@@ -84,21 +39,6 @@ runResultJson(const RunResult &result)
     if (s.telemetry)
         run.set("latency_cycles", s.telemetry->latencyJson());
     return run;
-}
-
-Json
-campaignJson(const std::string &name, unsigned jobs,
-             const std::vector<RunResult> &results)
-{
-    Json doc = Json::object();
-    doc.set("schema", "sam-campaign-v1");
-    doc.set("campaign", name);
-    doc.set("jobs", jobs);
-    Json runs = Json::array();
-    for (const RunResult &r : results)
-        runs.push(runResultJson(r));
-    doc.set("runs", std::move(runs));
-    return doc;
 }
 
 } // namespace sam

@@ -1,31 +1,26 @@
 /**
  * @file
- * Parallel campaign driver.
+ * Campaign vocabulary.
  *
- * A campaign is a list of independent simulation runs — (design, query,
- * config) points — fanned across a work-stealing thread pool. Each run
- * executes in a fresh single-threaded Session so its RunStats (including
- * the cumulative statsText dump) are bit-identical no matter how the
- * runs are scheduled; the expensive part, ECC-encoding the benchmark
- * tables, is shared through one TableCache so each distinct table pair
- * is materialized exactly once per campaign.
- *
- * Results come back in spec order regardless of the jobs count, so
- * `--jobs 1` and `--jobs 8` produce byte-identical reports.
+ * A campaign is a list of independent simulation runs -- (design,
+ * query, config) points. A RunSpec names one run and a RunResult holds
+ * what it measured; runResultJson is the run's record in the BENCH_*
+ * documents (src/runner/figures.hh). The Supervisor
+ * (src/runner/supervisor.hh) executes RunSpecs, each in a fresh
+ * single-threaded Session, so results are bit-identical for any jobs
+ * count.
  */
 
 #ifndef SAM_RUNNER_CAMPAIGN_HH
 #define SAM_RUNNER_CAMPAIGN_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/json.hh"
 #include "src/imdb/query.hh"
+// Kept for code that reaches ThreadPool through this header.
 #include "src/common/thread_pool.hh"
 #include "src/sim/system.hh"
-#include "src/sim/table_cache.hh"
 
 namespace sam {
 
@@ -53,45 +48,8 @@ struct RunResult
     std::uint64_t records = 0;
 };
 
-/**
- * Runs RunSpecs across a thread pool, one Session per run, sharing a
- * single TableCache. Reusable across batches; the cache persists for
- * the runner's lifetime.
- */
-class CampaignRunner
-{
-  public:
-    /** @param jobs Worker threads; 0 picks the host's core count. */
-    explicit CampaignRunner(unsigned jobs = 0);
-
-    unsigned jobs() const { return pool_.workers(); }
-
-    const std::shared_ptr<TableCache> &tableCache() const
-    {
-        return tables_;
-    }
-
-    /**
-     * Run every spec and return results in spec order. Rethrows the
-     * first run failure after the batch drains.
-     */
-    std::vector<RunResult> run(const std::vector<RunSpec> &specs);
-
-  private:
-    std::shared_ptr<TableCache> tables_;
-    ThreadPool pool_;
-};
-
 /** Per-run JSON record (the "runs" array element of BENCH_*.json). */
 Json runResultJson(const RunResult &result);
-
-/**
- * Standard BENCH_*.json document skeleton: schema tag, campaign name,
- * jobs count, and the runs array. Figure drivers append their derived
- * metrics (speedups, geomeans) before writing.
- */
-Json campaignJson(const std::string &name, unsigned jobs,
-                  const std::vector<RunResult> &results);
 
 } // namespace sam
 

@@ -87,9 +87,12 @@ executeSpec(const RunSpec &spec,
             const std::shared_ptr<TableCache> &tables)
 {
     // Wall-clock brackets feed only wallMs reporting, never any
-    // simulated state (same sanctioned read as CampaignRunner).
+    // simulated state.
     // NOLINTNEXTLINE(sam-determinism)
     const auto t0 = std::chrono::steady_clock::now();
+    // A fresh Session per run: per-system counters accumulate across
+    // queries, so sharing one Session across runs would make statsText
+    // depend on scheduling order.
     Session session(spec.config, tables);
     RunStats stats = session.run(spec.config.design, spec.query);
     if (spec.verify)

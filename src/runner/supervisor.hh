@@ -2,17 +2,17 @@
  * @file
  * Supervised campaign execution: retries, timeouts, process isolation.
  *
- * CampaignRunner's contract is all-or-nothing — one throwing run
- * aborts the batch. Paper-scale campaigns need the opposite: a run
- * that crashes, hangs, or returns garbage must be retried, classified,
- * and — if it keeps failing — recorded as FAILED while every other
- * run's work is kept. The Supervisor provides that envelope in two
- * isolation modes:
+ * The Supervisor is the one campaign executor: samcampaign, the figure
+ * benches and `samsim --compare --jobs` all run their RunSpecs through
+ * it. Each attempt runs one spec in a fresh Session; a run that
+ * crashes, hangs, or returns garbage is retried, classified, and -- if
+ * it keeps failing -- recorded as FAILED while every other run's work
+ * is kept. Two isolation modes:
  *
- *   Thread   runs execute on the in-process work-stealing pool (same
- *            performance as CampaignRunner); exceptions are caught and
- *            retried, but a hard crash still takes the process down
- *            (the journal preserves completed work even then)
+ *   Thread   runs execute on the in-process work-stealing pool and
+ *            share one TableCache; exceptions are caught and retried,
+ *            but a hard crash still takes the process down (the
+ *            journal preserves completed work even then)
  *   Process  each attempt executes in a forked worker that reports
  *            its result record over a pipe; the parent classifies
  *            crash (signal), hang (deadline exceeded → SIGKILL),

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel campaign runner: the work-stealing thread
- * pool, campaign determinism across jobs counts, materialized-table
- * sharing through the TableCache, and the JSON writer.
+ * pool, the Supervisor's thread mode (campaign determinism across jobs
+ * counts, materialized-table sharing through the TableCache), and the
+ * JSON writer.
  */
 
 #include <atomic>
@@ -14,8 +15,8 @@
 
 #include "src/common/json.hh"
 #include "src/core/session.hh"
-#include "src/runner/campaign.hh"
 #include "src/common/thread_pool.hh"
+#include "src/runner/supervisor.hh"
 
 namespace sam {
 namespace {
@@ -152,7 +153,7 @@ TEST(ThreadPoolTest, DefaultsToHostWorkers)
     EXPECT_EQ(pool.workers(), ThreadPool::defaultWorkers());
 }
 
-// ----- CampaignRunner ------------------------------------------------
+// ----- Supervisor thread mode -----------------------------------------
 
 SimConfig
 tinyConfig(DesignKind design)
@@ -181,18 +182,30 @@ tinySpecs()
     return specs;
 }
 
-TEST(CampaignRunnerTest, ResultsComeBackInSpecOrder)
+/** A thread-mode Supervisor on `jobs` workers, one attempt per run. */
+SupervisorConfig
+threadMode(unsigned jobs)
 {
-    CampaignRunner runner(4);
+    SupervisorConfig cfg;
+    cfg.jobs = jobs;
+    cfg.retry.maxAttempts = 1;
+    return cfg;
+}
+
+TEST(SupervisorThreadModeTest, ResultsComeBackInSpecOrder)
+{
+    Supervisor supervisor(threadMode(4));
     const auto specs = tinySpecs();
-    const auto results = runner.run(specs);
-    ASSERT_EQ(results.size(), specs.size());
+    const SupervisorReport report = supervisor.run(specs);
+    ASSERT_TRUE(report.allDone());
+    ASSERT_EQ(report.runs.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(results[i].id, specs[i].id);
-        EXPECT_EQ(results[i].design, specs[i].config.design);
-        EXPECT_EQ(results[i].query, specs[i].query.name);
-        EXPECT_GT(results[i].stats.cycles, 0u);
-        EXPECT_GE(results[i].wallMs, 0.0);
+        const RunResult &result = report.runs[i].result;
+        EXPECT_EQ(result.id, specs[i].id);
+        EXPECT_EQ(result.design, specs[i].config.design);
+        EXPECT_EQ(result.query, specs[i].query.name);
+        EXPECT_GT(result.stats.cycles, 0u);
+        EXPECT_GE(result.wallMs, 0.0);
     }
 }
 
@@ -203,42 +216,45 @@ TEST(CampaignRunnerTest, ResultsComeBackInSpecOrder)
  * execute them. This is what makes committed BENCH_*.json baselines
  * comparable across machines and jobs counts.
  */
-TEST(CampaignRunnerTest, BitIdenticalAcrossJobsCounts)
+TEST(SupervisorThreadModeTest, BitIdenticalAcrossJobsCounts)
 {
     const auto specs = tinySpecs();
-    CampaignRunner serial(1);
-    CampaignRunner wide(8);
-    const auto a = serial.run(specs);
-    const auto b = wide.run(specs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(a[i].id);
-        EXPECT_EQ(a[i].stats.cycles, b[i].stats.cycles);
-        EXPECT_EQ(a[i].stats.result, b[i].stats.result);
-        EXPECT_EQ(a[i].stats.statsText, b[i].stats.statsText);
-        EXPECT_EQ(a[i].stats.memReads, b[i].stats.memReads);
-        EXPECT_EQ(a[i].stats.memWrites, b[i].stats.memWrites);
-        EXPECT_EQ(a[i].stats.strideReads, b[i].stats.strideReads);
-        EXPECT_EQ(a[i].stats.activates, b[i].stats.activates);
-        EXPECT_EQ(a[i].stats.rowHits, b[i].stats.rowHits);
-        EXPECT_EQ(a[i].stats.rowMisses, b[i].stats.rowMisses);
-        EXPECT_EQ(a[i].stats.eccCorrectedLines,
-                  b[i].stats.eccCorrectedLines);
-        EXPECT_DOUBLE_EQ(a[i].stats.power.totalEnergyPj(),
-                         b[i].stats.power.totalEnergyPj());
+    Supervisor serial(threadMode(1));
+    Supervisor wide(threadMode(8));
+    const SupervisorReport ra = serial.run(specs);
+    const SupervisorReport rb = wide.run(specs);
+    ASSERT_TRUE(ra.allDone());
+    ASSERT_TRUE(rb.allDone());
+    ASSERT_EQ(ra.runs.size(), rb.runs.size());
+    for (std::size_t i = 0; i < ra.runs.size(); ++i) {
+        const RunResult &a = ra.runs[i].result;
+        const RunResult &b = rb.runs[i].result;
+        SCOPED_TRACE(a.id);
+        EXPECT_EQ(a.stats.cycles, b.stats.cycles);
+        EXPECT_EQ(a.stats.result, b.stats.result);
+        EXPECT_EQ(a.stats.statsText, b.stats.statsText);
+        EXPECT_EQ(a.stats.memReads, b.stats.memReads);
+        EXPECT_EQ(a.stats.memWrites, b.stats.memWrites);
+        EXPECT_EQ(a.stats.strideReads, b.stats.strideReads);
+        EXPECT_EQ(a.stats.activates, b.stats.activates);
+        EXPECT_EQ(a.stats.rowHits, b.stats.rowHits);
+        EXPECT_EQ(a.stats.rowMisses, b.stats.rowMisses);
+        EXPECT_EQ(a.stats.eccCorrectedLines, b.stats.eccCorrectedLines);
+        EXPECT_DOUBLE_EQ(a.stats.power.totalEnergyPj(),
+                         b.stats.power.totalEnergyPj());
     }
 }
 
-TEST(CampaignRunnerTest, RepeatedRunsShareTheTableCache)
+TEST(SupervisorThreadModeTest, RepeatedRunsShareTheTableCache)
 {
-    CampaignRunner runner(2);
+    Supervisor supervisor(threadMode(2));
     const auto specs = tinySpecs();
-    runner.run(specs);
-    const auto &cache = runner.tableCache();
+    supervisor.run(specs);
+    const auto &cache = supervisor.tableCache();
     const std::uint64_t misses_first = cache->misses();
     EXPECT_GT(misses_first, 0u);
     // A second pass over the same specs re-encodes nothing.
-    runner.run(specs);
+    supervisor.run(specs);
     EXPECT_EQ(cache->misses(), misses_first);
     EXPECT_GT(cache->hits(), 0u);
 }

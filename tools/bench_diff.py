@@ -4,8 +4,9 @@
 Usage:
     tools/bench_diff.py BASELINE.json CURRENT.json [--threshold PCT]
 
-Both files must be `sam-campaign-v1` documents (written by samcampaign
-or by the bench drivers via SAM_BENCH_JSON). Runs are matched by their
+Both files must be `sam-campaign-v1` documents. samcampaign writes
+them, and so do the bench drivers when SAM_BENCH_JSON is set; both
+use the one writer in src/runner/figures.hh. Runs are matched by their
 `id`. A run whose cycle count grew by more than the threshold
 (default 5%) is a regression; a run present in the baseline but missing
 from the current file is also an error, since silently dropping a

@@ -25,10 +25,13 @@
  * losing the rest of the campaign. `--chaos <spec>` injects such
  * faults deterministically (see src/runner/chaos.hh for the grammar).
  *
+ * The grids, their derived metrics and the BENCH document come from
+ * src/runner/figures.hh, which the fig12/13/15 benches share. The
+ * scale comes from --scale or --quick only (default full).
+ *
  * Examples:
  *   samcampaign --fig 12 --jobs 8 --out bench-results
  *   samcampaign --fig all --quick --verify
- *   SAM_QUICK=1 samcampaign --fig 12        # same as --quick
  *   samcampaign --fig 12 --quick --isolate proc --chaos seed=7,die@5
  *   samcampaign --fig 12 --quick --resume ./JOURNAL_fig12.jsonl
  */
@@ -38,19 +41,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
 #include "src/common/logging.hh"
-#include "src/runner/campaign.hh"
-#include "src/runner/supervisor.hh"
+#include "src/runner/figures.hh"
 
 namespace {
 
 using namespace sam;
-using namespace sam::bench;
 
 [[noreturn]] void
 usage(int code)
@@ -63,7 +62,7 @@ usage(int code)
         "                         cores; results are identical for any\n"
         "                         value)\n"
         "  --out <dir>            output directory (default .)\n"
-        "  --quick                reduced scale (same as SAM_QUICK=1)\n"
+        "  --quick                reduced scale (same as --scale quick)\n"
         "  --scale <quick|full|paper>  benchmark scale; paper is the\n"
         "                         source paper's 10M records per table\n"
         "  --verify               check results against the reference\n"
@@ -117,265 +116,6 @@ parseCount(const char *flag, const char *text, unsigned lo, unsigned hi)
     return static_cast<unsigned>(v);
 }
 
-/** A campaign's specs plus an id -> result index. */
-struct Book
-{
-    std::vector<RunSpec> specs;
-    std::map<std::string, std::size_t> index;
-    std::vector<RunResult> results;
-
-    void
-    add(std::string id, const SimConfig &cfg, const Query &q,
-        bool verify)
-    {
-        if (index.count(id))
-            return;
-        index.emplace(id, specs.size());
-        specs.push_back(RunSpec{std::move(id), cfg, q, verify});
-    }
-
-    void
-    add(DesignKind d, const SimConfig &base, const Query &q, bool verify)
-    {
-        SimConfig cfg = base;
-        cfg.design = d;
-        add(designName(d) + "/" + q.name, cfg, q, verify);
-    }
-
-    const RunResult &
-    at(const std::string &id) const
-    {
-        auto it = index.find(id);
-        sam_assert(it != index.end(), "no campaign run '", id, "'");
-        return results.at(it->second);
-    }
-
-    double
-    speedup(const std::string &design_id,
-            const std::string &base_id) const
-    {
-        const Cycle d = at(design_id).stats.cycles;
-        const Cycle b = at(base_id).stats.cycles;
-        sam_assert(d > 0 && b > 0, "run produced no work");
-        return static_cast<double>(b) / static_cast<double>(d);
-    }
-};
-
-std::vector<Query>
-allQueries()
-{
-    auto qs = benchmarkQQueries();
-    const auto more = benchmarkQsQueries();
-    qs.insert(qs.end(), more.begin(), more.end());
-    return qs;
-}
-
-// ----- fig12: speedup grid ------------------------------------------
-
-Book
-buildFig12(bool verify)
-{
-    Book book;
-    const SimConfig cfg = benchConfig();
-    for (const Query &q : allQueries()) {
-        book.add(DesignKind::Baseline, cfg, q, false);
-        for (DesignKind d : figureDesigns())
-            book.add(d, cfg, q, verify);
-    }
-    return book;
-}
-
-Json
-derivedFig12(const Book &book)
-{
-    Json derived = Json::object();
-    Json speedups = Json::object();
-    Json gmean_q = Json::object();
-    Json gmean_qs = Json::object();
-    const auto qq = benchmarkQQueries();
-    const auto qs = benchmarkQsQueries();
-    for (DesignKind d : figureDesigns()) {
-        Json per_query = Json::object();
-        std::vector<double> sp_q, sp_qs;
-        for (const Query &q : qq) {
-            const double sp = book.speedup(
-                designName(d) + "/" + q.name, "baseline/" + q.name);
-            per_query.set(q.name, sp);
-            sp_q.push_back(sp);
-        }
-        for (const Query &q : qs) {
-            const double sp = book.speedup(
-                designName(d) + "/" + q.name, "baseline/" + q.name);
-            per_query.set(q.name, sp);
-            sp_qs.push_back(sp);
-        }
-        speedups.set(designName(d), std::move(per_query));
-        gmean_q.set(designName(d), geometricMean(sp_q));
-        gmean_qs.set(designName(d), geometricMean(sp_qs));
-    }
-    derived.set("speedup", std::move(speedups));
-    derived.set("gmean_q", std::move(gmean_q));
-    derived.set("gmean_qs", std::move(gmean_qs));
-    return derived;
-}
-
-// ----- fig13: power by category -------------------------------------
-
-Book
-buildFig13(bool verify)
-{
-    Book book;
-    const SimConfig cfg = benchConfig();
-    for (const Query &q : allQueries()) {
-        book.add(DesignKind::Baseline, cfg, q, false);
-        for (DesignKind d : figureDesigns()) {
-            if (d != DesignKind::Ideal)
-                book.add(d, cfg, q, verify);
-        }
-    }
-    return book;
-}
-
-Json
-derivedFig13(const Book &book)
-{
-    const auto qq = benchmarkQQueries();
-    const auto qs = benchmarkQsQueries();
-    std::vector<std::pair<std::string, std::vector<Query>>> cats(4);
-    cats[0].first = "read_q";
-    cats[1].first = "write_q";
-    cats[2].first = "read_qs";
-    cats[3].first = "write_qs";
-    for (std::size_t i = 0; i < qq.size(); ++i)
-        cats[i < 10 ? 0 : 1].second.push_back(qq[i]);
-    for (std::size_t i = 0; i < qs.size(); ++i)
-        cats[i < 4 ? 2 : 3].second.push_back(qs[i]);
-
-    auto aggregate = [&](DesignKind d,
-                         const std::vector<Query> &queries) {
-        PowerBreakdown sum;
-        for (const Query &q : queries) {
-            const PowerBreakdown &p =
-                book.at(designName(d) + "/" + q.name).stats.power;
-            sum.actEnergyPj += p.actEnergyPj;
-            sum.rdwrEnergyPj += p.rdwrEnergyPj;
-            sum.backgroundEnergyPj += p.backgroundEnergyPj;
-            sum.refreshEnergyPj += p.refreshEnergyPj;
-            sum.elapsedNs += p.elapsedNs;
-        }
-        return sum;
-    };
-
-    Json derived = Json::object();
-    for (const auto &[cat_name, queries] : cats) {
-        Json cat = Json::object();
-        const PowerBreakdown base =
-            aggregate(DesignKind::Baseline, queries);
-        for (DesignKind d : figureDesigns()) {
-            if (d == DesignKind::Ideal)
-                continue;
-            const PowerBreakdown p = aggregate(d, queries);
-            Json row = Json::object();
-            row.set("total_mw", p.totalPowerMw());
-            row.set("energy_eff", p.totalEnergyPj() > 0
-                                      ? base.totalEnergyPj() /
-                                            p.totalEnergyPj()
-                                      : 0.0);
-            cat.set(designName(d), std::move(row));
-        }
-        derived.set(cat_name, std::move(cat));
-    }
-    return derived;
-}
-
-// ----- fig15: parameterized sweeps ----------------------------------
-
-const std::vector<DesignKind> kSweepDesigns = {
-    DesignKind::RcNvmWord, DesignKind::GsDramEcc, DesignKind::SamEn,
-    DesignKind::Ideal};
-
-std::string
-pointId(const char *kind, unsigned proj, double sel)
-{
-    return std::string(kind) + "/p" + std::to_string(proj) + "/s" +
-           std::to_string(static_cast<unsigned>(sel * 100 + 0.5));
-}
-
-void
-addSweepPoint(Book &book, const SimConfig &cfg, const std::string &point,
-              const Query &q, bool verify)
-{
-    SimConfig bcfg = cfg;
-    bcfg.design = DesignKind::Baseline;
-    book.add(point + "/baseline", bcfg, q, false);
-    for (DesignKind d : kSweepDesigns) {
-        SimConfig dcfg = cfg;
-        dcfg.design = d;
-        book.add(point + "/" + designName(d), dcfg, q, verify);
-    }
-}
-
-Book
-buildFig15(bool verify)
-{
-    Book book;
-    SimConfig cfg = benchConfig();
-    cfg.taRecords = quickMode() ? 2048 : 8192;
-    cfg.tbRecords = 2048;
-    const unsigned nf = cfg.taFields;
-    const std::vector<double> sels = {0.1, 0.2, 0.3, 0.4, 0.5,
-                                      0.6, 0.7, 0.8, 0.9, 1.0};
-    const std::vector<unsigned> projs = {2, 4, 8, 16, 32, 64, nf};
-    for (unsigned proj : {8u, 64u, nf})
-        for (double sel : sels)
-            addSweepPoint(book, cfg, pointId("arith", proj, sel),
-                          arithQuery(proj, sel, nf), verify);
-    for (double sel : {0.1, 0.5, 1.0})
-        for (unsigned proj : projs)
-            addSweepPoint(book, cfg, pointId("arith", proj, sel),
-                          arithQuery(proj, sel, nf), verify);
-    for (double sel : sels)
-        addSweepPoint(book, cfg, pointId("aggr", 8, sel),
-                      aggrQuery(8, sel, nf), verify);
-    for (unsigned proj : projs)
-        addSweepPoint(book, cfg, pointId("aggr", proj, 1.0),
-                      aggrQuery(proj, 1.0, nf), verify);
-    return book;
-}
-
-Json
-derivedFig15(const Book &book)
-{
-    Json speedups = Json::object();
-    for (const auto &[id, idx] : book.index) {
-        (void)idx;
-        const auto slash = id.rfind('/');
-        const std::string design = id.substr(slash + 1);
-        if (design == "baseline")
-            continue;
-        const std::string point = id.substr(0, slash);
-        speedups.set(id, book.speedup(id, point + "/baseline"));
-    }
-    Json derived = Json::object();
-    derived.set("speedup", std::move(speedups));
-    return derived;
-}
-
-// ----- driver -------------------------------------------------------
-
-struct CampaignDef
-{
-    std::string name;
-    Book (*build)(bool verify);
-    Json (*derived)(const Book &);
-};
-
-const std::vector<CampaignDef> kCampaigns = {
-    {"fig12", buildFig12, derivedFig12},
-    {"fig13", buildFig13, derivedFig13},
-    {"fig15", buildFig15, derivedFig15},
-};
-
 } // namespace
 
 int
@@ -385,6 +125,7 @@ main(int argc, char **argv)
     setQuietLogging(true);
 
     std::vector<std::string> figs;
+    Scale scale = Scale::Full;
     unsigned jobs = 0;
     std::string out_dir = ".";
     bool verify = false;
@@ -413,13 +154,11 @@ main(int argc, char **argv)
         else if (a == "--fig") {
             const std::string f = next_arg(i, "--fig");
             if (f == "all") {
-                figs.clear();
-                for (const CampaignDef &c : kCampaigns)
-                    figs.push_back(c.name);
+                figs = figureNames();
             } else {
                 bool known = false;
-                for (const CampaignDef &c : kCampaigns)
-                    known = known || c.name == "fig" + f;
+                for (const std::string &name : figureNames())
+                    known = known || name == "fig" + f;
                 if (!known)
                     usageError("unknown campaign 'fig" + f +
                                "' (want 12, 13, 15, or all)");
@@ -430,16 +169,13 @@ main(int argc, char **argv)
                               4096);
         else if (a == "--out")
             out_dir = next_arg(i, "--out");
-        else if (a == "--quick") {
-            // Must precede the first (cached) scaleMode() call.
-            setenv("SAM_SCALE", "quick", 1);
-        } else if (a == "--scale") {
+        else if (a == "--quick")
+            scale = Scale::Quick;
+        else if (a == "--scale") {
             const std::string s = next_arg(i, "--scale");
-            if (s != "quick" && s != "full" && s != "paper")
+            if (!parseScale(s, scale))
                 usageError("--scale wants quick, full, or paper, got "
                            "'" + s + "'");
-            // Must precede the first (cached) scaleMode() call.
-            setenv("SAM_SCALE", s.c_str(), 1);
         } else if (a == "--verify")
             verify = true;
         else if (a == "--no-telemetry")
@@ -510,28 +246,22 @@ main(int argc, char **argv)
         usageError("--resume already names the journal; drop "
                    "--journal");
 
-    const std::string scale = sam::bench::scaleName();
+    const std::string scale_name = scaleName(scale);
     bool any_failed = false;
 
     try {
         std::printf("samcampaign: %u worker(s), %s scale, %s "
                     "isolation\n",
                     jobs != 0 ? jobs : ThreadPool::defaultWorkers(),
-                    scale.c_str(),
+                    scale_name.c_str(),
                     isolation == Isolation::Process ? "process"
                                                     : "thread");
-        for (const std::string &fig : figs) {
-            const CampaignDef *def = nullptr;
-            for (const CampaignDef &c : kCampaigns) {
-                if (c.name == fig)
-                    def = &c;
-            }
-            sam_assert(def != nullptr, "campaign vanished");
-
-            Book book = def->build(verify);
+        for (const std::string &name : figs) {
+            FigureCampaign camp = buildFigure(name, scale, verify);
             if (!only.empty()) {
-                Book filtered;
-                for (const RunSpec &spec : book.specs) {
+                FigureCampaign filtered;
+                filtered.name = camp.name;
+                for (const RunSpec &spec : camp.specs) {
                     for (const std::string &pat : only) {
                         if (spec.id.find(pat) != std::string::npos) {
                             filtered.add(spec.id, spec.config,
@@ -541,17 +271,11 @@ main(int argc, char **argv)
                     }
                 }
                 if (filtered.specs.empty())
-                    usageError("--only matched no " + def->name +
-                               " runs");
-                book = std::move(filtered);
+                    usageError("--only matched no " + name + " runs");
+                camp = std::move(filtered);
             }
-            // Latency histograms ride along in every run; the collector
-            // is passive, so cycles are identical either way. The
-            // gem5-style stats text never reaches the BENCH JSON, so
-            // campaigns skip formatting it.
-            for (RunSpec &spec : book.specs) {
+            for (RunSpec &spec : camp.specs) {
                 spec.config.telemetry.enabled = telemetry;
-                spec.config.collectStatsText = false;
                 if (ta_override != 0)
                     spec.config.taRecords = ta_override;
                 if (tb_override != 0)
@@ -564,14 +288,14 @@ main(int argc, char **argv)
                 resuming ? resume_flag
                 : !journal_flag.empty()
                     ? journal_flag
-                    : out_dir + "/JOURNAL_" + def->name + ".jsonl";
+                    : out_dir + "/JOURNAL_" + name + ".jsonl";
             JournalState prior;
             if (resuming) {
                 std::string error;
                 if (!loadJournal(journal_path, prior, error))
                     usageError(error);
-                if (prior.header.campaign != def->name ||
-                    prior.header.scale != scale ||
+                if (prior.header.campaign != name ||
+                    prior.header.scale != scale_name ||
                     prior.header.verify != verify ||
                     prior.header.telemetry != telemetry)
                     usageError(
@@ -587,12 +311,11 @@ main(int argc, char **argv)
                     std::printf("%s: journal had %u torn trailing "
                                 "line(s) (crash mid-append); "
                                 "discarded\n",
-                                def->name.c_str(),
-                                prior.truncatedLines);
+                                name.c_str(), prior.truncatedLines);
             }
             JournalHeader header;
-            header.campaign = def->name;
-            header.scale = scale;
+            header.campaign = name;
+            header.scale = scale_name;
             header.verify = verify;
             header.telemetry = telemetry;
             CampaignJournal journal(journal_path, header, resuming);
@@ -609,75 +332,26 @@ main(int argc, char **argv)
             Supervisor supervisor(std::move(scfg));
 
             const auto t0 = std::chrono::steady_clock::now();
-            SupervisorReport report = supervisor.run(book.specs);
+            camp.report = supervisor.run(camp.specs);
             const auto t1 = std::chrono::steady_clock::now();
             const double wall_ms =
                 std::chrono::duration<double, std::milli>(t1 - t0)
                     .count();
 
-            // The BENCH runs[] array re-emits each journal/worker
-            // record verbatim -- that, plus spec-order results, is
-            // what keeps resumed output bit-identical.
-            double run_ms = 0.0;
-            book.results.resize(book.specs.size());
-            Json runs = Json::array();
-            Json failed = Json::array();
-            for (std::size_t i = 0; i < report.runs.size(); ++i) {
-                SupervisedRun &run = report.runs[i];
-                if (run.succeeded()) {
-                    book.results[i] = std::move(run.result);
-                    run_ms += book.results[i].wallMs;
-                    runs.push(std::move(run.record));
-                } else {
-                    Json row = Json::object();
-                    row.set("id", book.specs[i].id);
-                    row.set("failure", failureKindName(run.failure));
-                    row.set("error", run.error);
-                    row.set("attempts", run.attempts);
-                    failed.push(std::move(row));
-                    std::printf("%s: FAILED %s after %u attempt(s): "
-                                "%s (%s)\n",
-                                def->name.c_str(),
-                                book.specs[i].id.c_str(),
-                                run.attempts, run.error.c_str(),
-                                failureKindName(run.failure));
-                }
-            }
-
-            Json doc = Json::object();
-            doc.set("schema", "sam-campaign-v1");
-            doc.set("campaign", def->name);
-            doc.set("jobs", supervisor.jobs());
-            doc.set("runs", std::move(runs));
-            doc.set("scale", scale);
-            doc.set("verified", verify);
-            doc.set("wall_ms", wall_ms);
-            doc.set("run_wall_ms_total", run_ms);
-            // Campaign throughput in records/second of wall time --
-            // wall-derived, so exempt from bench_diff and resume
-            // bit-identity (like wall_ms).
-            std::uint64_t total_records = 0;
-            for (const RunSpec &spec : book.specs)
-                total_records += spec.config.taRecords;
-            doc.set("throughput",
-                    wall_ms > 0
-                        ? static_cast<double>(total_records) * 1e3 /
-                              wall_ms
-                        : 0.0);
-            if (report.allDone() && only.empty())
-                doc.set("derived", def->derived(book));
-            if (!report.allDone())
-                doc.set("failed", std::move(failed));
-            const std::string path =
-                out_dir + "/BENCH_" + def->name + ".json";
+            std::fputs(failureLines(camp).c_str(), stdout);
+            const Json doc = benchDocument(camp, supervisor.jobs(), scale,
+                                           verify, wall_ms);
+            const std::string path = out_dir + "/BENCH_" + name + ".json";
             writeJsonFile(path, doc);
+            const SupervisorReport &report = camp.report;
             std::printf("%s: %zu runs (%u executed, %u from journal, "
                         "%u failed, %u retries), wall %.1fs, per-run "
                         "total %.1fs, wrote %s\n",
-                        def->name.c_str(), book.specs.size(),
-                        report.executed, report.fromJournal,
-                        report.failed, report.retries, wall_ms / 1e3,
-                        run_ms / 1e3, path.c_str());
+                        name.c_str(), camp.specs.size(), report.executed,
+                        report.fromJournal, report.failed,
+                        report.retries, wall_ms / 1e3,
+                        doc.find("run_wall_ms_total")->asDouble() / 1e3,
+                        path.c_str());
             any_failed = any_failed || !report.allDone();
         }
     } catch (const std::exception &e) {

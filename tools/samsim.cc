@@ -20,12 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "src/common/json.hh"
 #include "src/common/logging.hh"
 #include "src/core/session.hh"
-#include "src/runner/campaign.hh"
+#include "src/designs/design.hh"
+#include "src/runner/figures.hh"
 #include "src/sim/system.hh"
 #include "src/telemetry/perfetto.hh"
 
@@ -254,7 +256,8 @@ main(int argc, char **argv)
     double sel = 0.25;
     int fail_chip = -1;
     unsigned jobs = 1;
-    std::string scale;
+    bool scale_given = false;
+    Scale scale = Scale::Full;
     bool ta_given = false;
     bool tb_given = false;
     bool compare = false;
@@ -300,10 +303,11 @@ main(int argc, char **argv)
                                        16, 1ull << 32);
             tb_given = true;
         } else if (a == "--scale") {
-            scale = next_arg(i, "--scale");
-            if (scale != "quick" && scale != "full" && scale != "paper")
+            const std::string s = next_arg(i, "--scale");
+            if (!parseScale(s, scale))
                 usageError("--scale wants quick, full, or paper, got "
-                           "'" + scale + "'");
+                           "'" + s + "'");
+            scale_given = true;
         }
         else if (a == "--cores")
             cfg.cores = static_cast<unsigned>(parseCount(
@@ -363,21 +367,12 @@ main(int argc, char **argv)
     }
 
     // Scale presets fill in whatever --ta/--tb did not pin explicitly.
-    if (!scale.empty()) {
-        std::uint64_t ta = cfg.taRecords, tb = cfg.tbRecords;
-        if (scale == "quick") {
-            ta = 4096;
-            tb = 8192;
-        } else if (scale == "full") {
-            ta = 16384;
-            tb = 16384;
-        } else {
-            ta = tb = 10'000'000; // paper Table 2
-        }
+    if (scale_given) {
+        const SimConfig preset = campaignConfig(scale);
         if (!ta_given)
-            cfg.taRecords = ta;
+            cfg.taRecords = preset.taRecords;
         if (!tb_given)
-            cfg.tbRecords = tb;
+            cfg.tbRecords = preset.tbRecords;
     }
 
     try {
@@ -392,9 +387,13 @@ main(int argc, char **argv)
             parseQuery(query_name, proj, sel, cfg.taFields);
 
         Session session(cfg);
+        // The scheme the design runs, which can differ from --ecc
+        // (GS-DRAM and GS-DRAM-ecc run unprotected).
+        const EccScheme ecc =
+            makeDesign(design, cfg.ecc, cfg.tech, cfg.overrideTech).ecc;
         std::printf("%s on %s (%s, Ta=%llu Tb=%llu records)\n",
                     query.name.c_str(), design_name.c_str(),
-                    eccSchemeName(cfg.ecc).c_str(),
+                    eccSchemeName(ecc).c_str(),
                     static_cast<unsigned long long>(cfg.taRecords),
                     static_cast<unsigned long long>(cfg.tbRecords));
 
@@ -406,7 +405,10 @@ main(int argc, char **argv)
             // executes in a fresh single-threaded Session sharing the
             // materialized-table cache, so the printed numbers match
             // the serial path exactly.
-            CampaignRunner runner(jobs);
+            SupervisorConfig scfg;
+            scfg.jobs = jobs;
+            scfg.retry.maxAttempts = 1;
+            Supervisor supervisor(scfg);
             SimConfig dcfg = cfg;
             dcfg.design = design;
             SimConfig bcfg = cfg;
@@ -414,9 +416,13 @@ main(int argc, char **argv)
             std::vector<RunSpec> specs;
             specs.push_back(RunSpec{design_name, dcfg, query, false});
             specs.push_back(RunSpec{"baseline", bcfg, query, false});
-            std::vector<RunResult> results = runner.run(specs);
-            run = std::move(results[0].stats);
-            base = std::move(results[1].stats);
+            SupervisorReport report = supervisor.run(specs);
+            for (const SupervisedRun &r : report.runs) {
+                if (!r.succeeded())
+                    throw std::runtime_error(r.error);
+            }
+            run = std::move(report.runs[0].result.stats);
+            base = std::move(report.runs[1].result.stats);
             have_base = true;
         } else {
             if (fail_chip >= 0) {
