@@ -104,7 +104,7 @@ runBench(FigureCampaign &camp, bool verified, PrintTables &&print_tables)
 {
     SupervisorConfig cfg;
     cfg.jobs = jobsCount();
-    cfg.retry.maxAttempts = 1;
+    cfg.maxAttempts = 1;
     Supervisor supervisor(cfg);
     const auto t0 = std::chrono::steady_clock::now();
     camp.report = supervisor.run(camp.specs);

@@ -200,10 +200,10 @@ BM_SectorCacheFillExtract(benchmark::State &state)
 BENCHMARK(BM_SectorCacheFillExtract);
 
 /**
- * FR-FCFS picks on a paper-scale geometry (256 banks) where most
- * banks hold an open row but only a few have eligible row hits --
- * the shape the hot-bank index targets (the former rule-1 scan was
- * O(totalBanks) per pick).
+ * FR-FCFS picks on a 256-bank geometry (every System runs the
+ * default 32) where most banks hold an open row but only a few have
+ * eligible row hits -- the shape the hot-bank index targets (the
+ * former rule-1 scan was O(totalBanks) per pick).
  */
 void
 BM_PopBestOpenRowHeavy(benchmark::State &state)

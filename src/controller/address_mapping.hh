@@ -32,9 +32,6 @@ class AddressMapping
     /** Inverse of decompose for a line-aligned address. */
     Addr compose(const MappedAddr &mapped) const;
 
-    /** Line-align an address. */
-    static Addr lineBase(Addr addr) { return addr & ~Addr{63}; }
-
     unsigned offsetBits() const { return offsetBits_; }
     unsigned columnBits() const { return columnBits_; }
     unsigned channelBits() const { return channelBits_; }

@@ -18,9 +18,11 @@
  * RowStateListener transitions (the controller forwards them), plus a
  * per-bank eligible-request count. A "hot" list holds the banks that
  * are both open and have eligible requests; a pick probes only those,
- * lazily dropping banks that stopped qualifying. A paper-scale fig15
- * sweep has hundreds of banks of which a handful are hot at any time,
- * so this is the difference between O(totalBanks) and O(hot) per pick.
+ * lazily dropping banks that stopped qualifying, so a pick costs
+ * O(hot) instead of O(totalBanks). Every System runs the default
+ * Geometry's 32 banks (1 channel x 2 ranks x 16 banks) of which a
+ * handful are hot at any time; BM_PopBestOpenRowHeavy measures a
+ * 256-bank geometry.
  *
  * Eligibility is monotone (the controller clock never runs backwards),
  * so a request moves pending -> eligible exactly once. Heap entries

@@ -10,36 +10,22 @@
 namespace sam {
 
 void
-StoreSnapshot::layOut(Addr base, std::size_t count, bool is_clean)
+StoreSnapshot::layOut(Addr base, std::size_t count)
 {
     const std::size_t first = addrs.size();
-    if (dense_) {
-        const Addr end = extents_.empty()
-            ? 0
-            : extents_.back().base +
-                  extents_.back().count * kCachelineBytes;
-        if (!extents_.empty() && base == end) {
-            extents_.back().count += count;
-        } else if (extents_.empty() || base > end) {
-            extents_.push_back(Extent{base, count, first});
-        } else {
-            // Out-of-order append: fall back to a hash index built
-            // from everything stored so far.
-            dense_ = false;
-            index_.reserve(first + count);
-            for (std::size_t i = 0; i < first; ++i)
-                index_.emplace(addrs[i], i);
-            extents_.clear();
-        }
-    }
+    const Addr end = extents_.empty()
+        ? 0
+        : extents_.back().base + extents_.back().count * kCachelineBytes;
+    sam_assert(extents_.empty() || base >= end,
+               "snapshot rows must be appended in ascending address order");
+    if (!extents_.empty() && base == end)
+        extents_.back().count += count;
+    else
+        extents_.push_back(Extent{base, count, first});
     addrs.reserve(first + count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const Addr addr = base + i * kCachelineBytes;
-        if (!dense_)
-            index_.emplace(addr, first + i);
-        addrs.push_back(addr);
-    }
-    clean.resize(first + count, is_clean);
+    for (std::size_t i = 0; i < count; ++i)
+        addrs.push_back(base + i * kCachelineBytes);
+    clean.resize(first + count, true);
 }
 
 void
@@ -80,17 +66,6 @@ StoreSnapshot::classify(std::size_t slot, std::size_t count, bool stored)
     }
 }
 
-void
-StoreSnapshot::append(Addr addr, const std::uint8_t *blob_bytes,
-                      bool is_clean)
-{
-    sam_assert(blobBytes > 0, "append before blobBytes is set");
-    const std::size_t slot = addrs.size();
-    layOut(addr, 1, is_clean);
-    classify(slot, 1, /*stored=*/true);
-    arena.insert(arena.end(), blob_bytes, blob_bytes + blobBytes);
-}
-
 std::size_t
 StoreSnapshot::appendRows(Addr base, std::size_t count,
                           const std::vector<LineRun> &stored)
@@ -100,7 +75,7 @@ StoreSnapshot::appendRows(Addr base, std::size_t count,
     const std::size_t first = addrs.size();
     if (count == 0)
         return first;
-    layOut(base, count, /*is_clean=*/true);
+    layOut(base, count);
     std::size_t next = 0;  // first line not yet classified
     std::size_t stored_lines = 0;
     for (const LineRun &run : stored) {
@@ -127,23 +102,17 @@ StoreSnapshot::mutableBlob(std::size_t slot)
 std::size_t
 StoreSnapshot::find(Addr addr) const
 {
-    if (dense_) {
-        // Last extent with base <= addr.
-        auto it = std::upper_bound(
-            extents_.begin(), extents_.end(), addr,
-            [](Addr a, const Extent &e) { return a < e.base; });
-        if (it == extents_.begin())
-            return npos;
-        --it;
-        const Addr off = addr - it->base;
-        if (off % kCachelineBytes != 0 ||
-            off / kCachelineBytes >= it->count) {
-            return npos;
-        }
-        return it->firstSlot + off / kCachelineBytes;
-    }
-    auto it = index_.find(addr);
-    return it != index_.end() ? it->second : npos;
+    // Last extent with base <= addr.
+    auto it = std::upper_bound(
+        extents_.begin(), extents_.end(), addr,
+        [](Addr a, const Extent &e) { return a < e.base; });
+    if (it == extents_.begin())
+        return npos;
+    --it;
+    const Addr off = addr - it->base;
+    if (off % kCachelineBytes != 0 || off / kCachelineBytes >= it->count)
+        return npos;
+    return it->firstSlot + off / kCachelineBytes;
 }
 
 void
@@ -249,7 +218,7 @@ BackingStore::writeLine(Addr line_addr, const std::uint8_t *blob,
             overlayOrder_.push_back(line_addr);
     } else {
         // Rewrite in place: the arena slot is exclusively ours
-        // (snapshots copy out of the arena, they never alias it).
+        // (installed layers never alias the overlay arena).
         std::memcpy(arena_.data() + it->second.offset, blob, blobBytes_);
         it->second.clean = clean;
     }
@@ -309,38 +278,6 @@ BackingStore::sampleLine(Rng &rng) const
         idx -= layer->size();
     }
     return overlayOrder_[idx];
-}
-
-StoreSnapshot
-BackingStore::snapshot() const
-{
-    StoreSnapshot snap;
-    snap.blobBytes = blobBytes_;
-    const std::size_t n = lineCount();
-    snap.addrs.reserve(n);
-    snap.clean.reserve(n);
-    snap.arena.reserve(n * blobBytes_);
-    std::vector<std::uint8_t> scratch(blobBytes_);
-    for (const auto &layer : layers_) {
-        for (std::size_t i = 0; i < layer->size(); ++i) {
-            const Addr addr = layer->addrs[i];
-            if (const OverlayLine *o = findOverlay(addr)) {
-                snap.append(addr, arena_.data() + o->offset, o->clean);
-            } else {
-                // Captures always carry real parity, even when the
-                // layer deferred it.
-                materializeBlob(*layer, i, scratch.data());
-                snap.append(addr, scratch.data(), layer->clean[i]);
-            }
-        }
-    }
-    for (Addr addr : overlayOrder_) {
-        auto it = overlay_.find(addr);
-        sam_assert(it != overlay_.end(), "order/overlay mismatch");
-        snap.append(addr, arena_.data() + it->second.offset,
-                    it->second.clean);
-    }
-    return snap;
 }
 
 void

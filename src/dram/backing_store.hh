@@ -41,14 +41,14 @@ using Blob = std::vector<std::uint8_t>;
 using BlobPtr = std::shared_ptr<const Blob>;
 
 /**
- * An immutable capture of a store's contents in insertion order,
- * shareable across stores and threads.
+ * An immutable set of encoded lines in insertion (slot) order -- a
+ * materialized table pair -- shareable across stores and threads.
  *
- * Table materialization appends lines in ascending address order, so
- * lookup is served by a handful of dense extents (base + count ->
- * slot range) instead of a per-line hash map -- at paper scale the map
- * alone would cost gigabytes. Irregular appends fall back to a lazily
- * built index; `find` is the only lookup path either way.
+ * Table materialization appends rows in ascending address order (and
+ * appendRows asserts it), so lookup is served by a handful of dense
+ * extents (base + count -> slot range) instead of a per-line hash map
+ * -- at paper scale the map alone would cost gigabytes. `find` is the
+ * only lookup path.
  *
  * Every line, padding included, owns a slot (an entry of `addrs` and
  * `clean`), so slot numbering -- and with it fault-target sampling --
@@ -86,9 +86,9 @@ struct StoreSnapshot
      * skipped the ECC encode (the dominant table-materialization cost)
      * because almost no line's parity is ever observed. Consumers that
      * do need the full codeword (fault corruption, decode under
-     * injection, snapshot capture) reconstruct it on demand through the
-     * owning store's parity encoder -- the encoder is deterministic, so
-     * the reconstructed bytes are identical to an eager encode.
+     * injection) reconstruct it on demand through the owning store's
+     * parity encoder -- the encoder is deterministic, so the
+     * reconstructed bytes are identical to an eager encode.
      */
     bool lazyParity = false;
     /** Blob bytes of every stored (non-padding) slot, blobBytes
@@ -103,9 +103,6 @@ struct StoreSnapshot
         const std::size_t i = arenaIndex(slot);
         return i == npos ? zeros_.data() : arena.data() + i * blobBytes;
     }
-
-    void append(Addr addr, const std::uint8_t *blob_bytes,
-                bool is_clean);
 
     /**
      * Append `count` consecutive clean lines starting at `base` in one
@@ -140,16 +137,14 @@ struct StoreSnapshot
                static_cast<std::size_t>(std::popcount(word & (bit - 1)));
     }
 
-    /** Add `count` consecutive line slots at `base` to the lookup. */
-    void layOut(Addr base, std::size_t count, bool is_clean);
+    /** Add `count` consecutive clean line slots at `base` (at or past
+     *  the end of every earlier extent) to the lookup. */
+    void layOut(Addr base, std::size_t count);
     /** Record whether slots [slot, slot + count) own arena bytes. */
     void classify(std::size_t slot, std::size_t count, bool stored);
 
-    /** Ascending extents; authoritative while `dense_` holds. */
+    /** Ascending extents. */
     std::vector<Extent> extents_;
-    bool dense_ = true;
-    /** Fallback index, built on the first out-of-order append. */
-    std::unordered_map<Addr, std::size_t> index_;
     /** Bit per slot, set when it owns arena bytes; empty until the
      *  first padding slot (every slot owns bytes until then). */
     std::vector<std::uint64_t> stored_;
@@ -239,9 +234,6 @@ class BackingStore
      */
     Addr sampleLine(Rng &rng) const;
 
-    /** Capture every stored line, in insertion order. */
-    StoreSnapshot snapshot() const;
-
     /**
      * Mount a snapshot as an immutable base layer (O(1): the blobs and
      * the index are shared, not copied). Re-installing a snapshot that
@@ -253,7 +245,7 @@ class BackingStore
 
     /**
      * Encoder used to reconstruct the parity of lazy-parity layer
-     * lines on demand (readLine, corruptLine, snapshot). The pointer
+     * lines on demand (readLine, corruptLine). The pointer
      * is borrowed; the DataPath that owns this store installs its own
      * engine and outlives it. Required before any lazy-parity snapshot
      * line is materialized.

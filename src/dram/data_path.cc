@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/logging.hh"
-#include "src/dram/io_buffer.hh"
 
 namespace sam {
 

@@ -139,11 +139,6 @@ class DataPath
      */
     void failChip(unsigned chip);
 
-    /** Clear injected chip failures. */
-    void clearChipFailures() { failedChips_.clear(); }
-
-    const std::set<unsigned> &failedChips() const { return failedChips_; }
-
     const EccStats &stats() const { return stats_; }
     BackingStore &store() { return store_; }
 
@@ -162,7 +157,6 @@ class DataPath
      * path is observation-equivalent.
      */
     void setCleanFastPath(bool on) { fastPath_ = on; }
-    bool cleanFastPath() const { return fastPath_; }
 
     // ----- RAS integration ------------------------------------------
     /** Attach a live fault source (nullptr detaches). */

@@ -121,28 +121,10 @@ Device::bank(const MappedAddr &a)
     return banks_[a.flatBank(geom_)];
 }
 
-const Device::BankState &
-Device::bank(const MappedAddr &a) const
-{
-    return banks_[a.flatBank(geom_)];
-}
-
 Device::RankState &
 Device::rank(const MappedAddr &a)
 {
     return ranks_[a.channel * geom_.ranks + a.rank];
-}
-
-bool
-Device::rowOpen(const MappedAddr &addr) const
-{
-    return bank(addr).rowOpen;
-}
-
-std::uint64_t
-Device::openRow(const MappedAddr &addr) const
-{
-    return bank(addr).row;
 }
 
 void
@@ -340,8 +322,6 @@ Device::access(const DeviceAccess &acc, Cycle earliest)
         cas_earliest = cas_at + 1;
     }
     result.done = data_end + acc.extraLatency;
-    if (traceHook_)
-        traceHook_(acc, result);
 
     // ----- Statistics ------------------------------------------------
     if (acc.mode == AccessMode::Stride) {

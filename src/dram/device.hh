@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -119,24 +118,12 @@ class Device
      */
     AccessResult access(const DeviceAccess &acc, Cycle earliest);
 
-    /** Open row in the bank of `addr`, or kInvalidCycle-like sentinel. */
-    bool rowOpen(const MappedAddr &addr) const;
-    std::uint64_t openRow(const MappedAddr &addr) const;
-
     /** Earliest cycle the channel's data bus is free. */
     Cycle
     busFreeAt(unsigned channel = 0) const
     {
         return channels_[channel].busFree;
     }
-
-    /**
-     * Observer invoked once per serviced access with its timing
-     * outcome (a command-level trace hook for debugging and tools).
-     */
-    using TraceHook = std::function<void(const DeviceAccess &,
-                                         const AccessResult &)>;
-    void setTraceHook(TraceHook hook) { traceHook_ = std::move(hook); }
 
     /**
      * Attach an observer invoked once per scheduled DDR command
@@ -206,7 +193,6 @@ class Device
     };
 
     BankState &bank(const MappedAddr &a);
-    const BankState &bank(const MappedAddr &a) const;
     RankState &rank(const MappedAddr &a);
 
     /** Retire refreshes due before `t`; returns updated floor time. */
@@ -229,7 +215,6 @@ class Device
     std::vector<RankState> ranks_;
     std::vector<ChannelState> channels_;
     DeviceStats stats_;
-    TraceHook traceHook_;
     std::vector<std::pair<const void *, CommandObserver>> cmdObservers_;
     std::vector<RowStateListener *> rowListeners_;
 };

@@ -55,7 +55,6 @@ class ChipIoPath
     void setMode(IoMode mode, unsigned lane = 0);
 
     IoMode mode() const { return mode_; }
-    unsigned strideLane() const { return lane_; }
 
     /**
      * Load buffer `buf` with a 32-bit array fetch (the chip's 4B slice

@@ -1,8 +1,9 @@
 #include "src/imdb/executor.hh"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -13,20 +14,19 @@ namespace sam {
 namespace {
 
 std::uint64_t
-extract64(const std::uint8_t *bytes, unsigned offset)
+extract64(const std::uint8_t *bytes)
 {
     std::uint64_t v = 0;
     for (int i = 7; i >= 0; --i)
-        v = (v << 8) | bytes[offset + i];
+        v = (v << 8) | bytes[i];
     return v;
 }
 
 void
-insert64(std::vector<std::uint8_t> &bytes, unsigned offset,
-         std::uint64_t v)
+insert64(std::uint8_t *bytes, std::uint64_t v)
 {
     for (unsigned i = 0; i < 8; ++i) {
-        bytes[offset + i] = static_cast<std::uint8_t>(v & 0xff);
+        bytes[i] = static_cast<std::uint8_t>(v & 0xff);
         v >>= 8;
     }
 }
@@ -169,12 +169,15 @@ class Partition
     std::uint64_t morselGroups_ = 1;
 };
 
-/** One core's execution context. */
+/** Rows whose data came back RAS-poisoned, as (table, record). */
+using PoisonedRows = std::set<std::pair<const Table *, std::uint64_t>>;
+
+/** One core's execution context for one sweep. */
 class CoreExec
 {
   public:
-    CoreExec(ExecEnv &env, unsigned core)
-        : env_(env), port_(*env.ports[core])
+    CoreExec(ExecEnv &env, unsigned core, PoisonedRows &poisoned)
+        : env_(env), port_(*env.ports[core]), poisoned_(poisoned)
     {
     }
 
@@ -183,11 +186,15 @@ class CoreExec
      * sload and hold the gathered chunk in "registers" (the per-field
      * line cache), so the G values of a group cost one sload. Random
      * accesses (`sequential` false) always use regular loads.
+     *
+     * A value that came back RAS-poisoned never enters a result: the
+     * read returns nothing and counts (table, rec) as a poisoned row.
      */
-    std::uint64_t
-    readField(Table &t, std::uint64_t rec, unsigned f,
-              bool sequential = true)
+    std::optional<std::uint64_t>
+    read(Table &t, std::uint64_t rec, unsigned f, bool sequential = true)
     {
+        std::uint64_t value = 0;
+        bool poisoned = false;
         if (env_.useStride && sequential && t.strideUsable()) {
             const std::uint64_t group = rec / t.gather();
             LineCache &lc = lineCacheFor(t, f);
@@ -200,46 +207,48 @@ class CoreExec
             }
             const unsigned chunk =
                 static_cast<unsigned>(rec % t.gather());
-            lastPoisoned_ = (lc.poisonBits >> chunk) & 1u;
-            const unsigned off =
-                chunk * env_.strideUnit +
-                (f * TableSchema::kFieldBytes) % env_.strideUnit;
-            return extract64(lc.line.data(), off);
+            poisoned = (lc.poisonBits >> chunk) & 1u;
+            value = extract64(lc.line.data() + chunkOffset(chunk, f));
+        } else {
+            value = port_.load(t.fieldAddr(rec, f), 8);
+            poisoned = port_.lastAccessPoisoned();
         }
-        const std::uint64_t v = port_.load(t.fieldAddr(rec, f), 8);
-        lastPoisoned_ = port_.lastAccessPoisoned();
-        return v;
-    }
-
-    /** Whether the value returned by the last readField was poisoned. */
-    bool lastPoisoned() const { return lastPoisoned_; }
-
-    /** Per-chunk poison bits of the last strideUpdateGroup read. */
-    std::uint32_t lastStridePoisonBits() const
-    {
-        return lastStridePoison_;
+        if (poisoned) {
+            poisoned_.insert({&t, rec});
+            return std::nullopt;
+        }
+        return value;
     }
 
     /**
      * Group-wise strided update: patch the gathered chunk for the
-     * qualifying records and sstore it back.
+     * qualifying records and sstore it back. Chunks that came back
+     * poisoned went back to memory unrepaired: their rows are counted
+     * as poisoned rather than pretend the read-modify-write healed
+     * them.
      */
     void
     strideUpdateGroup(Table &t, std::uint64_t group, unsigned f,
                       const std::vector<std::uint64_t> &recs)
     {
-        GatherPlan plan = t.gatherPlan(group, f, env_.strideUnit);
-        std::vector<std::uint8_t> line = port_.strideLoad(plan);
-        lastStridePoison_ = port_.strideLoadPoisonBits();
+        t.gatherPlanInto(group, f, env_.strideUnit, updatePlan_);
+        std::array<std::uint8_t, kCachelineBytes> line{};
+        port_.strideLoadInto(updatePlan_, line.data());
+        const std::uint32_t poison = port_.strideLoadPoisonBits();
+        const std::uint64_t lo = group * t.gather();
         for (std::uint64_t rec : recs) {
-            const unsigned off =
-                static_cast<unsigned>(rec % t.gather()) *
-                    env_.strideUnit +
-                (f * TableSchema::kFieldBytes) % env_.strideUnit;
-            insert64(line, off, updatedValue(rec, f));
+            insert64(line.data() +
+                         chunkOffset(static_cast<unsigned>(rec - lo), f),
+                     updatedValue(rec, f));
         }
-        port_.strideStore(plan, line);
+        port_.strideStore(updatePlan_, line.data());
         lineCache_.clear(); // written chunks invalidate register copies
+        const std::uint64_t hi =
+            std::min(lo + t.gather(), t.schema().numRecords);
+        for (std::uint64_t rec = lo; poison != 0 && rec < hi; ++rec) {
+            if ((poison >> (rec - lo)) & 1u)
+                poisoned_.insert({&t, rec});
+        }
     }
 
     MemPort &port() { return port_; }
@@ -275,18 +284,30 @@ class CoreExec
         return lineCache_.back().lc;
     }
 
+    /** Byte offset of field `f` in gathered chunk `chunk`. */
+    unsigned
+    chunkOffset(unsigned chunk, unsigned f) const
+    {
+        return chunk * env_.strideUnit +
+               (f * TableSchema::kFieldBytes) % env_.strideUnit;
+    }
+
     ExecEnv &env_;
     MemPort &port_;
+    PoisonedRows &poisoned_;
     std::vector<LineCacheEntry> lineCache_;
-    bool lastPoisoned_ = false;
-    std::uint32_t lastStridePoison_ = 0;
+    /** strideUpdateGroup's plan, refilled per group (capacity kept). */
+    GatherPlan updatePlan_;
 };
 
-/** Predicate evaluation from a value actually loaded from memory. */
+/**
+ * Predicate evaluation from a value actually loaded from memory; a
+ * poisoned read (nothing loaded) qualifies nothing.
+ */
 bool
-passes(std::uint64_t loaded_value, double selectivity)
+passes(std::optional<std::uint64_t> loaded_value, double selectivity)
 {
-    return loaded_value < selectivityThreshold(selectivity);
+    return loaded_value && *loaded_value < selectivityThreshold(selectivity);
 }
 
 } // namespace
@@ -345,13 +366,11 @@ executeQuery(const Query &q, ExecEnv &env)
 
     Table &primary = q.table == TableRef::Ta ? *env.ta : *env.tb;
 
-    // Rows whose data came back RAS-poisoned. Poisoned values never
-    // enter the result (no silent corruption); the rows are tallied so
-    // the caller sees a degraded-but-honest answer.
-    std::set<std::pair<const Table *, std::uint64_t>> poisoned_rows;
-    auto note_poison = [&](const Table &t, std::uint64_t rec) {
-        poisoned_rows.insert({&t, rec});
-    };
+    // Rows whose data came back RAS-poisoned, tallied by
+    // CoreExec::read. Poisoned values never enter the result (no
+    // silent corruption); the rows are counted so the caller sees a
+    // degraded-but-honest answer.
+    PoisonedRows poisoned_rows;
 
     // Crude cost-based plan selection, as any engine would do:
     //
@@ -391,54 +410,76 @@ executeQuery(const Query &q, ExecEnv &env)
         column_fetches &&
         (q.fieldMajor || (env.fieldMajorPreferred && !q.recordMajor));
 
-    /** Predicate sweep(s) producing a qualifying bitmap. */
-    auto predicate_sweep = [&](Table &t) {
-        std::vector<std::uint8_t> qual(t.schema().numRecords, 1);
+    // Every sweep runs the cores in id order, each through a fresh
+    // CoreExec (its sload registers never outlive the sweep), and ends
+    // in a barrier.
+    auto sweep = [&](auto &&body) {
+        for (unsigned c = 0; c < num_cores; ++c) {
+            CoreExec ex(env, c, poisoned_rows);
+            body(ex, c);
+        }
+        env.barrier();
+    };
+    /** A sweep over each core's records of `t`: body(ex, rec). */
+    auto sweep_records = [&](Table &t, std::uint64_t limit,
+                             bool row_major, auto &&body) {
+        sweep([&](CoreExec &ex, unsigned c) {
+            Partition(t, limit, c, num_cores, row_major)
+                .forEachRecord([&](std::uint64_t rec) { body(ex, rec); });
+        });
+    };
+    /** Add one projected value to `sum` (nothing if poisoned). */
+    auto project = [&](CoreExec &ex, std::uint64_t rec, unsigned f,
+                       std::uint64_t &sum) {
+        sum += ex.read(primary, rec, f, stride_project).value_or(0);
+        ex.port().compute(env.computePerValue);
+    };
+
+    /**
+     * Predicate sweep(s) producing a qualifying bitmap of the primary
+     * table; the qualifying rows are the result's rows.
+     */
+    auto predicate_sweep = [&] {
+        std::vector<std::uint8_t> qual(primary.schema().numRecords, 1);
         if (q.hasPredicate) {
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(t, q.limit, c, num_cores,
-                               q.rowPreferred);
-                part.forEachRecord([&](std::uint64_t rec) {
-                    ex.port().compute(env.computePerRecord);
-                    const std::uint64_t v =
-                        ex.readField(t, rec, q.predField);
-                    if (ex.lastPoisoned()) {
-                        note_poison(t, rec);
-                        qual[rec] = 0;
-                        return;
-                    }
-                    qual[rec] = passes(v, q.selectivity);
-                });
-            }
-            env.barrier();
+            sweep_records(primary, q.limit, q.rowPreferred,
+                          [&](CoreExec &ex, std::uint64_t rec) {
+                ex.port().compute(env.computePerRecord);
+                qual[rec] = passes(ex.read(primary, rec, q.predField),
+                                   q.selectivity);
+            });
         }
         if (q.hasPredicate2) {
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(t, q.limit, c, num_cores);
-                part.forEachRecord([&](std::uint64_t rec) {
-                    if (!qual[rec])
-                        return;
-                    const std::uint64_t v =
-                        ex.readField(t, rec, q.predField2);
-                    if (ex.lastPoisoned()) {
-                        note_poison(t, rec);
-                        qual[rec] = 0;
-                        return;
-                    }
-                    qual[rec] = passes(v, q.selectivity2);
-                });
-            }
-            env.barrier();
+            sweep_records(primary, q.limit, false,
+                          [&](CoreExec &ex, std::uint64_t rec) {
+                if (qual[rec]) {
+                    qual[rec] = passes(
+                        ex.read(primary, rec, q.predField2),
+                        q.selectivity2);
+                }
+            });
         }
         if (q.limit != 0) {
             for (std::uint64_t rec = q.limit;
-                 rec < t.schema().numRecords; ++rec) {
+                 rec < primary.schema().numRecords; ++rec) {
                 qual[rec] = 0;
             }
         }
+        for (std::uint8_t v : qual)
+            total.rows += v;
         return qual;
+    };
+    /** Predicate sweep(s), then one sweep per projected field. */
+    auto field_major_scan = [&](const std::vector<unsigned> &fields,
+                                std::uint64_t limit, std::uint64_t &sum) {
+        const auto qual = predicate_sweep();
+        for (unsigned f : fields) {
+            sweep_records(primary, limit, false,
+                          [&](CoreExec &ex, std::uint64_t rec) {
+                if (qual[rec])
+                    project(ex, rec, f, sum);
+            });
+        }
     };
 
     switch (q.kind) {
@@ -451,68 +492,25 @@ executeQuery(const Query &q, ExecEnv &env)
                 fields.push_back(f);
         }
         if (!field_major) {
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(primary, q.limit, c, num_cores,
-                               q.rowPreferred);
-                part.forEachRecord([&](std::uint64_t rec) {
-                    ex.port().compute(env.computePerRecord);
-                    bool ok = true;
-                    if (q.hasPredicate) {
-                        const std::uint64_t v =
-                            ex.readField(primary, rec, q.predField);
-                        if (ex.lastPoisoned()) {
-                            note_poison(primary, rec);
-                            return;
-                        }
-                        ok = passes(v, q.selectivity);
-                    }
-                    if (ok && q.hasPredicate2) {
-                        const std::uint64_t v =
-                            ex.readField(primary, rec, q.predField2);
-                        if (ex.lastPoisoned()) {
-                            note_poison(primary, rec);
-                            return;
-                        }
-                        ok = passes(v, q.selectivity2);
-                    }
-                    if (!ok)
-                        return;
-                    ++total.rows;
-                    for (unsigned f : fields) {
-                        const std::uint64_t v = ex.readField(
-                            primary, rec, f, stride_project);
-                        if (ex.lastPoisoned())
-                            note_poison(primary, rec);
-                        else
-                            total.checksum += v;
-                        ex.port().compute(env.computePerValue);
-                    }
-                });
-            }
-            env.barrier();
-        } else {
-            const auto qual = predicate_sweep(primary);
-            for (std::uint8_t v : qual)
-                total.rows += v;
-            for (unsigned f : fields) {
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    CoreExec ex(env, c);
-                    Partition part(primary, q.limit, c, num_cores);
-                    part.forEachRecord([&](std::uint64_t rec) {
-                        if (!qual[rec])
-                            return;
-                        const std::uint64_t v = ex.readField(
-                            primary, rec, f, stride_project);
-                        if (ex.lastPoisoned())
-                            note_poison(primary, rec);
-                        else
-                            total.checksum += v;
-                        ex.port().compute(env.computePerValue);
-                    });
+            sweep_records(primary, q.limit, q.rowPreferred,
+                          [&](CoreExec &ex, std::uint64_t rec) {
+                ex.port().compute(env.computePerRecord);
+                if (q.hasPredicate &&
+                    !passes(ex.read(primary, rec, q.predField),
+                            q.selectivity)) {
+                    return;
                 }
-                env.barrier();
-            }
+                if (q.hasPredicate2 &&
+                    !passes(ex.read(primary, rec, q.predField2),
+                            q.selectivity2)) {
+                    return;
+                }
+                ++total.rows;
+                for (unsigned f : fields)
+                    project(ex, rec, f, total.checksum);
+            });
+        } else {
+            field_major_scan(fields, q.limit, total.checksum);
         }
         break;
       }
@@ -532,21 +530,18 @@ executeQuery(const Query &q, ExecEnv &env)
             // forces smaller blocks, i.e.\ more frequent field
             // switches -- which is exactly what stings the
             // column-subarray designs on this query (Section 6.2).
-            // Row-friendly access (no columns in play) reads each
-            // record's fields together instead: block size one group.
-            const bool block_sweeps =
-                (stride_capable && stride_project) ||
-                primary.layout() == LayoutKind::ColumnStore;
-            const std::uint64_t block_recs = !block_sweeps
+            // Row-friendly access (no column fetches in play) reads
+            // each record's fields together instead: block size one
+            // group.
+            const std::uint64_t block_recs = !column_fetches
                 ? primary.gather()
                 : std::max<std::uint64_t>(
                       primary.gather(),
                       (32768 / TableSchema::kFieldBytes) /
                           (q.fields.size() + 1));
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(primary, 0, c, num_cores);
-                part.forEachMorsel([&](std::uint64_t mlo,
+            sweep([&](CoreExec &ex, unsigned c) {
+                Partition(primary, 0, c, num_cores)
+                    .forEachMorsel([&](std::uint64_t mlo,
                                        std::uint64_t mhi) {
                     for (std::uint64_t lo = mlo; lo < mhi;
                          lo += block_recs) {
@@ -557,32 +552,18 @@ executeQuery(const Query &q, ExecEnv &env)
                             for (std::uint64_t rec = lo; rec < hi;
                                  ++rec) {
                                 ex.port().compute(env.computePerRecord);
-                                const std::uint64_t v = ex.readField(
-                                    primary, rec, q.predField);
-                                if (ex.lastPoisoned()) {
-                                    note_poison(primary, rec);
-                                    qual[rec - lo] = 0;
-                                    continue;
-                                }
-                                qual[rec - lo] =
-                                    passes(v, q.selectivity);
+                                qual[rec - lo] = passes(
+                                    ex.read(primary, rec, q.predField),
+                                    q.selectivity);
                             }
                         }
-                        if (block_sweeps) {
+                        if (column_fetches) {
                             for (unsigned f : q.fields) {
                                 for (std::uint64_t rec = lo; rec < hi;
                                      ++rec) {
-                                    if (!qual[rec - lo])
-                                        continue;
-                                    const std::uint64_t v =
-                                        ex.readField(primary, rec, f,
-                                                     stride_project);
-                                    if (ex.lastPoisoned())
-                                        note_poison(primary, rec);
-                                    else
-                                        total.aggregate += v;
-                                    ex.port().compute(
-                                        env.computePerValue);
+                                    if (qual[rec - lo])
+                                        project(ex, rec, f,
+                                                total.aggregate);
                                 }
                             }
                         } else {
@@ -590,67 +571,32 @@ executeQuery(const Query &q, ExecEnv &env)
                                  ++rec) {
                                 if (!qual[rec - lo])
                                     continue;
-                                for (unsigned f : q.fields) {
-                                    const std::uint64_t v =
-                                        ex.readField(primary, rec, f,
-                                                     stride_project);
-                                    if (ex.lastPoisoned())
-                                        note_poison(primary, rec);
-                                    else
-                                        total.aggregate += v;
-                                    ex.port().compute(
-                                        env.computePerValue);
-                                }
+                                for (unsigned f : q.fields)
+                                    project(ex, rec, f, total.aggregate);
                             }
                         }
                         for (std::uint64_t rec = lo; rec < hi; ++rec)
                             total.rows += qual[rec - lo];
                     }
                 });
-            }
-            env.barrier();
+            });
         } else {
             // Field-major (the Figure 15 aggregate query): predicate
             // sweep first, then one full sweep per projected field.
-            const auto qual = predicate_sweep(primary);
-            for (std::uint8_t v : qual)
-                total.rows += v;
-            for (unsigned f : q.fields) {
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    CoreExec ex(env, c);
-                    Partition part(primary, 0, c, num_cores);
-                    part.forEachRecord([&](std::uint64_t rec) {
-                        if (!qual[rec])
-                            return;
-                        const std::uint64_t v = ex.readField(
-                            primary, rec, f, stride_project);
-                        if (ex.lastPoisoned())
-                            note_poison(primary, rec);
-                        else
-                            total.aggregate += v;
-                        ex.port().compute(env.computePerValue);
-                    });
-                }
-                env.barrier();
-            }
+            field_major_scan(q.fields, 0, total.aggregate);
         }
         break;
       }
 
       case QueryKind::Update: {
-        const bool stride_write =
-            env.useStride && primary.strideUsable();
         // Predicate sweep, then one write sweep per updated field
         // (field-major keeps column-subarray designs from ping-ponging
         // between the predicate column and the written columns).
-        const auto qual = predicate_sweep(primary);
-        for (std::uint8_t v : qual)
-            total.rows += v;
+        const auto qual = predicate_sweep();
         for (unsigned f : q.fields) {
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(primary, 0, c, num_cores);
-                part.forEachGroup([&](std::uint64_t group,
+            sweep([&](CoreExec &ex, unsigned c) {
+                Partition(primary, 0, c, num_cores)
+                    .forEachGroup([&](std::uint64_t group,
                                       std::uint64_t lo,
                                       std::uint64_t hi) {
                     std::vector<std::uint64_t> qualifying;
@@ -660,20 +606,9 @@ executeQuery(const Query &q, ExecEnv &env)
                     }
                     if (qualifying.empty())
                         return;
-                    if (stride_write) {
+                    if (stride_capable) {
                         ex.strideUpdateGroup(primary, group, f,
                                              qualifying);
-                        // Chunks that came back poisoned and were not
-                        // overwritten went back to memory unrepaired:
-                        // flag their rows rather than pretend the
-                        // read-modify-write healed them.
-                        const std::uint32_t pb =
-                            ex.lastStridePoisonBits();
-                        for (std::uint64_t rec = lo;
-                             pb != 0 && rec < hi; ++rec) {
-                            if ((pb >> (rec - lo)) & 1u)
-                                note_poison(primary, rec);
-                        }
                     } else {
                         for (std::uint64_t rec : qualifying) {
                             ex.port().store(primary.fieldAddr(rec, f),
@@ -685,8 +620,7 @@ executeQuery(const Query &q, ExecEnv &env)
                         ex.port().compute(env.computePerValue);
                     }
                 });
-            }
-            env.barrier();
+            });
         }
         break;
       }
@@ -696,172 +630,105 @@ executeQuery(const Query &q, ExecEnv &env)
             ? q.insertCount
             : primary.schema().numRecords / 8;
         count = std::min(count, primary.schema().numRecords);
-        for (unsigned c = 0; c < num_cores; ++c) {
-            CoreExec ex(env, c);
-            Partition part(primary, count, c, num_cores,
-                           q.rowPreferred);
-            part.forEachRecord([&](std::uint64_t rec) {
-                ex.port().compute(env.computePerRecord);
-                ++total.rows;
-                for (unsigned f = 0;
-                     f < primary.schema().numFields; ++f) {
-                    const std::uint64_t v = insertedValue(rec, f);
-                    ex.port().storeStream(primary.fieldAddr(rec, f), v,
-                                          8);
-                    total.checksum += v;
-                }
-            });
-        }
-        env.barrier();
+        sweep_records(primary, count, q.rowPreferred,
+                      [&](CoreExec &ex, std::uint64_t rec) {
+            ex.port().compute(env.computePerRecord);
+            ++total.rows;
+            for (unsigned f = 0; f < primary.schema().numFields; ++f) {
+                const std::uint64_t v = insertedValue(rec, f);
+                ex.port().storeStream(primary.fieldAddr(rec, f), v, 8);
+                total.checksum += v;
+            }
+        });
         break;
       }
 
       case QueryKind::Join: {
+        Table &ta = *env.ta;
+        Table &tb = *env.tb;
         // Build on Tb (hash the join field of selective values), probe
         // with Ta. Deterministic: the map keeps the minimum record id.
         std::unordered_map<std::uint64_t, std::uint64_t> build;
         const std::uint64_t jthresh =
             selectivityThreshold(q.joinSelectivity);
-        for (unsigned c = 0; c < num_cores; ++c) {
-            CoreExec ex(env, c);
-            Partition part(*env.tb, 0, c, num_cores);
-            part.forEachRecord([&](std::uint64_t rec) {
-                ex.port().compute(env.computePerRecord);
-                const std::uint64_t v =
-                    ex.readField(*env.tb, rec, q.joinField);
-                if (ex.lastPoisoned()) {
-                    note_poison(*env.tb, rec);
-                    return;
-                }
-                if (v < jthresh) {
-                    auto it = build.find(v);
-                    if (it == build.end() || rec < it->second)
-                        build[v] = rec;
-                }
-            });
-        }
-        env.barrier();
-        if (!field_major) {
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(*env.ta, 0, c, num_cores);
-                part.forEachRecord([&](std::uint64_t rec) {
-                    ex.port().compute(env.computePerRecord);
-                    const std::uint64_t v =
-                        ex.readField(*env.ta, rec, q.joinField);
-                    if (ex.lastPoisoned()) {
-                        note_poison(*env.ta, rec);
-                        return;
-                    }
-                    auto it = build.find(v);
-                    if (it == build.end())
-                        return;
-                    const std::uint64_t tb_rec = it->second;
-                    if (q.joinExtraFilter) {
-                        const std::uint64_t f1a =
-                            ex.readField(*env.ta, rec, 1);
-                        if (ex.lastPoisoned()) {
-                            note_poison(*env.ta, rec);
-                            return;
-                        }
-                        const std::uint64_t f1b =
-                            ex.readField(*env.tb, tb_rec, 1, false);
-                        if (ex.lastPoisoned()) {
-                            note_poison(*env.tb, tb_rec);
-                            return;
-                        }
-                        if (!(f1a > f1b))
-                            return;
-                    }
-                    const std::uint64_t va =
-                        ex.readField(*env.ta, rec, q.fields[0]);
-                    const bool pa = ex.lastPoisoned();
-                    const std::uint64_t vb =
-                        ex.readField(*env.tb, tb_rec, q.fields[1],
-                                     false);
-                    const bool pb = ex.lastPoisoned();
-                    if (pa)
-                        note_poison(*env.ta, rec);
-                    if (pb)
-                        note_poison(*env.tb, tb_rec);
-                    if (pa || pb)
-                        return;
-                    ++total.rows;
-                    total.checksum += va + vb;
-                    ex.port().compute(env.computePerValue);
-                });
+        sweep_records(tb, 0, false, [&](CoreExec &ex, std::uint64_t rec) {
+            ex.port().compute(env.computePerRecord);
+            const auto v = ex.read(tb, rec, q.joinField);
+            if (v && *v < jthresh) {
+                auto it = build.find(*v);
+                if (it == build.end() || rec < it->second)
+                    build[*v] = rec;
             }
-            env.barrier();
+        });
+
+        /** The Tb record that Ta record `rec` joins with, if any. */
+        auto probe = [&](CoreExec &ex, std::uint64_t rec)
+            -> std::optional<std::uint64_t> {
+            ex.port().compute(env.computePerRecord);
+            const auto v = ex.read(ta, rec, q.joinField);
+            if (!v)
+                return std::nullopt;
+            const auto it = build.find(*v);
+            if (it == build.end())
+                return std::nullopt;
+            return it->second;
+        };
+        /** Q7's extra condition Ta.f1 > Tb.f1, read for one match. */
+        auto extra_filter = [&](CoreExec &ex, std::uint64_t rec,
+                                std::uint64_t tb_rec) {
+            const auto f1a = ex.read(ta, rec, 1);
+            if (!f1a)
+                return false;
+            const auto f1b = ex.read(tb, tb_rec, 1, false);
+            return f1b && *f1a > *f1b;
+        };
+        /** Read both output fields of a match and emit its row. */
+        auto emit = [&](CoreExec &ex, std::uint64_t rec,
+                        std::uint64_t tb_rec) {
+            const auto va = ex.read(ta, rec, q.fields[0]);
+            const auto vb = ex.read(tb, tb_rec, q.fields[1], false);
+            if (!va || !vb)
+                return;
+            ++total.rows;
+            total.checksum += *va + *vb;
+            ex.port().compute(env.computePerValue);
+        };
+
+        if (!field_major) {
+            sweep_records(ta, 0, false,
+                          [&](CoreExec &ex, std::uint64_t rec) {
+                const auto tb_rec = probe(ex, rec);
+                if (tb_rec &&
+                    (!q.joinExtraFilter || extra_filter(ex, rec, *tb_rec)))
+                    emit(ex, rec, *tb_rec);
+            });
         } else {
             // Late materialization: probe the join column alone, then
             // sweep each output column for the matches -- avoiding
             // mid-scan field switches on column-subarray designs.
-            std::vector<std::pair<std::uint64_t, std::uint64_t>>
-                matches[16];
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                Partition part(*env.ta, 0, c, num_cores);
-                part.forEachRecord([&](std::uint64_t rec) {
-                    ex.port().compute(env.computePerRecord);
-                    const std::uint64_t v =
-                        ex.readField(*env.ta, rec, q.joinField);
-                    if (ex.lastPoisoned()) {
-                        note_poison(*env.ta, rec);
-                        return;
-                    }
-                    auto it = build.find(v);
-                    if (it != build.end())
-                        matches[c].emplace_back(rec, it->second);
+            using Match = std::pair<std::uint64_t, std::uint64_t>;
+            std::vector<std::vector<Match>> matches(num_cores);
+            sweep([&](CoreExec &ex, unsigned c) {
+                Partition(ta, 0, c, num_cores)
+                    .forEachRecord([&](std::uint64_t rec) {
+                    if (const auto tb_rec = probe(ex, rec))
+                        matches[c].emplace_back(rec, *tb_rec);
                 });
-            }
-            env.barrier();
+            });
             if (q.joinExtraFilter) {
-                for (unsigned c = 0; c < num_cores; ++c) {
-                    CoreExec ex(env, c);
-                    std::vector<std::pair<std::uint64_t,
-                                          std::uint64_t>> kept;
+                sweep([&](CoreExec &ex, unsigned c) {
+                    std::vector<Match> kept;
                     for (auto [rec, tb_rec] : matches[c]) {
-                        const std::uint64_t f1a =
-                            ex.readField(*env.ta, rec, 1);
-                        if (ex.lastPoisoned()) {
-                            note_poison(*env.ta, rec);
-                            continue;
-                        }
-                        const std::uint64_t f1b =
-                            ex.readField(*env.tb, tb_rec, 1, false);
-                        if (ex.lastPoisoned()) {
-                            note_poison(*env.tb, tb_rec);
-                            continue;
-                        }
-                        if (f1a > f1b)
+                        if (extra_filter(ex, rec, tb_rec))
                             kept.emplace_back(rec, tb_rec);
                     }
                     matches[c] = std::move(kept);
-                }
-                env.barrier();
+                });
             }
-            for (unsigned c = 0; c < num_cores; ++c) {
-                CoreExec ex(env, c);
-                for (auto [rec, tb_rec] : matches[c]) {
-                    const std::uint64_t va =
-                        ex.readField(*env.ta, rec, q.fields[0]);
-                    const bool pa = ex.lastPoisoned();
-                    const std::uint64_t vb =
-                        ex.readField(*env.tb, tb_rec, q.fields[1],
-                                     false);
-                    const bool pb = ex.lastPoisoned();
-                    if (pa)
-                        note_poison(*env.ta, rec);
-                    if (pb)
-                        note_poison(*env.tb, tb_rec);
-                    if (pa || pb)
-                        continue;
-                    ++total.rows;
-                    total.checksum += va + vb;
-                    ex.port().compute(env.computePerValue);
-                }
-            }
-            env.barrier();
+            sweep([&](CoreExec &ex, unsigned c) {
+                for (auto [rec, tb_rec] : matches[c])
+                    emit(ex, rec, tb_rec);
+            });
         }
         break;
       }

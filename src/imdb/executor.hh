@@ -11,7 +11,6 @@
 #ifndef SAM_IMDB_EXECUTOR_HH
 #define SAM_IMDB_EXECUTOR_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -43,24 +42,17 @@ class MemPort
     virtual void storeStream(Addr addr, std::uint64_t value,
                              unsigned bytes) = 0;
 
-    /** Strided load (sload): returns the gathered 64B line. */
-    virtual std::vector<std::uint8_t> strideLoad(
-        const GatherPlan &plan) = 0;
-
     /**
-     * strideLoad() into a caller-owned 64B buffer, so scan loops can
-     * hold their gather registers without per-group allocation.
+     * Strided load (sload): gather the planned chunks into a
+     * caller-owned 64B buffer, so scan loops can hold their gather
+     * registers without per-group allocation.
      */
     virtual void strideLoadInto(const GatherPlan &plan,
-                                std::uint8_t *out64)
-    {
-        const std::vector<std::uint8_t> line = strideLoad(plan);
-        std::copy(line.begin(), line.end(), out64);
-    }
+                                std::uint8_t *out64) = 0;
 
     /** Strided store (sstore): scatter a 64B line of chunks. */
     virtual void strideStore(const GatherPlan &plan,
-                             const std::vector<std::uint8_t> &line) = 0;
+                             const std::uint8_t *line64) = 0;
 
     /** Account `cycles` of core compute time. */
     virtual void compute(Cycle cycles) = 0;
@@ -70,8 +62,8 @@ class MemPort
     virtual bool lastAccessPoisoned() const { return false; }
 
     /**
-     * Per-chunk poison bits of the last strideLoad() (bit i = chunk i
-     * of the gathered line, i.e. source line i of the plan).
+     * Per-chunk poison bits of the last strideLoadInto() (bit i =
+     * chunk i of the gathered line, i.e. source line i of the plan).
      */
     virtual std::uint32_t strideLoadPoisonBits() const { return 0; }
 };

@@ -24,10 +24,6 @@
  * RunSpec's identity (design, query, geometry, fault/ECC config…); a
  * journal entry whose hash no longer matches the spec is stale — the
  * configuration changed — and the run is re-executed.
- *
- * These append/replay/identity primitives are exactly the shard-lease
- * substrate the planned distributed campaign protocol (ROADMAP item 4)
- * claims work units with; keep them free of local-process assumptions.
  */
 
 #ifndef SAM_RUNNER_JOURNAL_HH

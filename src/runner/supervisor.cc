@@ -7,14 +7,12 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <thread>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/common/logging.hh"
-#include "src/common/random.hh"
 #include "src/core/session.hh"
 
 namespace sam {
@@ -32,33 +30,14 @@ failureKindName(FailureKind kind)
     return "?";
 }
 
-unsigned
-RetryPolicy::backoffMs(std::size_t specIdx, unsigned attempt) const
-{
-    sam_assert(attempt >= 1, "backoff before any attempt");
-    std::uint64_t delay = baseDelayMs;
-    for (unsigned a = 1; a < attempt && delay < maxDelayMs; ++a)
-        delay *= 2;
-    delay = std::min<std::uint64_t>(delay, maxDelayMs);
-    // Deterministic jitter: the RNG is freshly seeded from
-    // (seed, spec, attempt), so the backoff schedule of a retried
-    // campaign replays exactly — same property the fault injector
-    // relies on, and what lets tests pin the schedule.
-    Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (specIdx + 1)) ^
-            (0xbf58476d1ce4e5b9ULL * attempt));
-    const double factor = 1.0 + jitter * (2.0 * rng.uniform() - 1.0);
-    const double jittered = static_cast<double>(delay) * factor;
-    return static_cast<unsigned>(std::max(1.0, jittered));
-}
-
 namespace {
 
-/** Monotonic milliseconds for deadlines and backoff scheduling. */
+/** Monotonic milliseconds for hang deadlines. */
 std::int64_t
 nowMs()
 {
-    // Wall time here drives only retry pacing and hang deadlines --
-    // host-level supervision that no simulated state ever reads.
+    // Wall time here drives only hang deadlines -- host-level
+    // supervision that no simulated state ever reads.
     // NOLINTNEXTLINE(sam-determinism)
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                // NOLINTNEXTLINE(sam-determinism)
@@ -167,8 +146,8 @@ Supervisor::Supervisor(SupervisorConfig config)
     sam_assert(!config_.chaos.enabled() ||
                    config_.isolation == Isolation::Process,
                "chaos injection requires process isolation");
-    sam_assert(config_.retry.maxAttempts >= 1,
-               "RetryPolicy.maxAttempts must be at least 1");
+    sam_assert(config_.maxAttempts >= 1,
+               "SupervisorConfig.maxAttempts must be at least 1");
 }
 
 bool
@@ -239,8 +218,8 @@ Supervisor::runThreaded(const std::vector<RunSpec> &specs,
             const RunSpec &spec = specs[i];
             const std::uint64_t hash = specHash(spec);
             std::string lastError;
-            for (unsigned attempt = 1;
-                 attempt <= config_.retry.maxAttempts; ++attempt) {
+            for (unsigned attempt = 1; attempt <= config_.maxAttempts;
+                 ++attempt) {
                 try {
                     RunResult r = executeSpec(spec, tables_);
                     Json record = runResultJson(r);
@@ -251,18 +230,10 @@ Supervisor::runThreaded(const std::vector<RunSpec> &specs,
                     return;
                 } catch (const std::exception &e) {
                     lastError = e.what();
-                    if (attempt < config_.retry.maxAttempts) {
-                        // Host-side retry pacing, off the simulated
-                        // path entirely.
-                        // NOLINTNEXTLINE(sam-determinism)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(
-                                config_.retry.backoffMs(i, attempt)));
-                    }
                 }
             }
-            failRun(spec, hash, config_.retry.maxAttempts,
-                    FailureKind::Error, lastError, slot);
+            failRun(spec, hash, config_.maxAttempts, FailureKind::Error,
+                    lastError, slot);
         });
     }
     pool_->run(std::move(tasks));
@@ -288,13 +259,12 @@ Supervisor::runForked(const std::vector<RunSpec> &specs,
     {
         std::size_t idx;
         unsigned attempt;
-        std::int64_t readyAtMs;
     };
     std::vector<PendingItem> pending;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (report.runs[i].outcome !=
             SupervisedRun::Outcome::FromJournal)
-            pending.push_back({i, 1, 0});
+            pending.push_back({i, 1});
     }
     std::vector<Slot> slots;
     ChaosEngine chaos(config_.chaos);
@@ -392,11 +362,8 @@ Supervisor::runForked(const std::vector<RunSpec> &specs,
                       report.runs[slot.idx]);
             return;
         }
-        if (slot.attempt < config_.retry.maxAttempts) {
-            pending.push_back(
-                {slot.idx, slot.attempt + 1,
-                 nowMs() + config_.retry.backoffMs(slot.idx,
-                                                   slot.attempt)});
+        if (slot.attempt < config_.maxAttempts) {
+            pending.push_back({slot.idx, slot.attempt + 1});
         } else {
             failRun(spec, hash, slot.attempt, kind, error,
                     report.runs[slot.idx]);
@@ -404,34 +371,20 @@ Supervisor::runForked(const std::vector<RunSpec> &specs,
     };
 
     while (!pending.empty() || !slots.empty()) {
-        // Launch everything ready, oldest attempts first (stable).
-        std::int64_t now = nowMs();
-        for (std::size_t p = 0;
-             p < pending.size() && slots.size() < jobs_;) {
-            if (pending[p].readyAtMs <= now) {
-                launch(pending[p]);
-                pending.erase(pending.begin() +
-                              static_cast<std::ptrdiff_t>(p));
-            } else {
-                ++p;
-            }
+        // Fill the free slots, oldest attempts first (stable).
+        while (!pending.empty() && slots.size() < jobs_) {
+            launch(pending.front());
+            pending.erase(pending.begin());
         }
         if (slots.empty() && pending.empty())
             break;
 
-        // Sleep until the next event: readable child, deadline, or a
-        // backoff becoming ready. Pending work only matters for the
-        // wake-up time when a slot is free to launch it; with all
-        // slots busy the next event is necessarily a child's.
+        // Sleep until the next event: a readable child or a deadline.
         std::int64_t wake =
             std::numeric_limits<std::int64_t>::max();
-        if (slots.size() < jobs_) {
-            for (const PendingItem &item : pending)
-                wake = std::min(wake, item.readyAtMs);
-        }
         for (const Slot &slot : slots)
             wake = std::min(wake, slot.deadlineMs);
-        now = nowMs();
+        std::int64_t now = nowMs();
         int timeout = -1;
         if (wake != std::numeric_limits<std::int64_t>::max())
             timeout = static_cast<int>(std::clamp<std::int64_t>(

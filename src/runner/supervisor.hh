@@ -20,12 +20,12 @@
  *            report) failures, so no worker misbehaviour — including
  *            chaos-injected SIGKILL — can corrupt campaign state
  *
- * Retries use exponential backoff with deterministic seeded jitter
- * (RetryPolicy::backoffMs is a pure function of seed, spec index, and
- * attempt), so a retried campaign replays its schedule exactly. The
- * parent in Process mode is a single-threaded poll() event loop:
- * workers are forked only from a thread-less process, which keeps
- * fork() safe, and up to `jobs` children run concurrently.
+ * A failed attempt is retried at once, up to maxAttempts: a run is a
+ * pure function of its spec and workers share no contended resource,
+ * so pacing the retries would buy nothing. The parent in Process mode
+ * is a single-threaded poll() event loop: workers are forked only
+ * from a thread-less process, which keeps fork() safe, and up to
+ * `jobs` children run concurrently.
  *
  * With a CampaignJournal attached, every outcome is written ahead
  * (append + fsync) before the in-memory report advances, and a
@@ -57,25 +57,6 @@ enum class FailureKind { None, Crash, Hang, Error, Corrupt };
 
 const char *failureKindName(FailureKind kind);
 
-/** Bounded retry with exponential backoff and seeded jitter. */
-struct RetryPolicy
-{
-    /** Total attempts per run (1 = no retry). */
-    unsigned maxAttempts = 3;
-    unsigned baseDelayMs = 100;
-    unsigned maxDelayMs = 5000;
-    /** Jitter as a fraction of the backoff: delay * [1-j, 1+j). */
-    double jitter = 0.5;
-    std::uint64_t seed = 0;
-
-    /**
-     * Delay before attempt `attempt + 1` of spec `specIdx` after
-     * `attempt` failed (1-based). Deterministic: a pure function of
-     * (seed, specIdx, attempt) via the sanctioned sam::Rng.
-     */
-    unsigned backoffMs(std::size_t specIdx, unsigned attempt) const;
-};
-
 struct SupervisorConfig
 {
     Isolation isolation = Isolation::Thread;
@@ -83,7 +64,8 @@ struct SupervisorConfig
     unsigned jobs = 0;
     /** Per-attempt deadline in ms; 0 disables (Process mode only). */
     std::uint64_t timeoutMs = 0;
-    RetryPolicy retry;
+    /** Total attempts per run (1 = no retry). */
+    unsigned maxAttempts = 3;
     /** Fault injection; requires Process isolation when enabled. */
     ChaosConfig chaos;
     /** Write-ahead journal; optional, not owned. */

@@ -96,14 +96,6 @@ CorePort::storeStream(Addr addr, std::uint64_t value, unsigned bytes)
     clock_ += r.delay;
 }
 
-std::vector<std::uint8_t>
-CorePort::strideLoad(const GatherPlan &plan)
-{
-    std::vector<std::uint8_t> out(kCachelineBytes);
-    strideLoadInto(plan, out.data());
-    return out;
-}
-
 void
 CorePort::strideLoadInto(const GatherPlan &plan, std::uint8_t *out64)
 {
@@ -114,13 +106,10 @@ CorePort::strideLoadInto(const GatherPlan &plan, std::uint8_t *out64)
 }
 
 void
-CorePort::strideStore(const GatherPlan &plan,
-                      const std::vector<std::uint8_t> &line)
+CorePort::strideStore(const GatherPlan &plan, const std::uint8_t *line64)
 {
-    sam_assert(line.size() == kCachelineBytes, "stride store size");
     dataPath_.setNow(clock_);
-    const HierResult r =
-        hierarchy_.strideWrite(plan, strideUnit_, line.data());
+    const HierResult r = hierarchy_.strideWrite(plan, strideUnit_, line64);
     clock_ += r.delay;
 }
 

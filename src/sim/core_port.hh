@@ -9,7 +9,6 @@
 #define SAM_SIM_CORE_PORT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "src/cache/hierarchy.hh"
 #include "src/dram/data_path.hh"
@@ -45,11 +44,10 @@ class CorePort : public MemPort, public MemBackend
     void store(Addr addr, std::uint64_t value, unsigned bytes) override;
     void storeStream(Addr addr, std::uint64_t value,
                      unsigned bytes) override;
-    std::vector<std::uint8_t> strideLoad(const GatherPlan &plan) override;
     void strideLoadInto(const GatherPlan &plan,
                         std::uint8_t *out64) override;
     void strideStore(const GatherPlan &plan,
-                     const std::vector<std::uint8_t> &line) override;
+                     const std::uint8_t *line64) override;
     void compute(Cycle cycles) override;
     bool lastAccessPoisoned() const override { return loadPoisoned_; }
     std::uint32_t strideLoadPoisonBits() const override

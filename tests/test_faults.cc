@@ -244,6 +244,164 @@ TEST(SystemFaults, ChipkillUnderSecDedPoisonsAndDegradesGracefully)
 }
 
 // --------------------------------------------------------------------
+// The same SEC-DED chipkill on every plan: the Q and Qs suites plus
+// one Figure 15 arithmetic and aggregate point, on designs that run
+// the record-major, stride, field-major, late-materialization and
+// column-store plans. The counters are pinned, so a change to the
+// executor must flag the same rows and keep the same partial sums.
+// --------------------------------------------------------------------
+
+struct DegradedPin
+{
+    DesignKind design;
+    const char *query;
+    std::uint64_t rows;
+    std::uint64_t aggregate;
+    std::uint64_t checksum;
+    std::uint64_t poisonedRows;
+};
+
+/** A suite query by name; "arith"/"aggr" are the p8/s50 sweep point. */
+Query
+pinnedQuery(const std::string &name, unsigned ta_fields)
+{
+    if (name == "arith")
+        return arithQuery(8, 0.5, ta_fields);
+    if (name == "aggr")
+        return aggrQuery(8, 0.5, ta_fields);
+    for (const auto &suite : {benchmarkQQueries(), benchmarkQsQueries()}) {
+        for (const Query &q : suite) {
+            if (q.name == name)
+                return q;
+        }
+    }
+    ADD_FAILURE() << "no query named " << name;
+    return Query{};
+}
+
+class DegradedResultTest : public ::testing::TestWithParam<DegradedPin>
+{
+};
+
+TEST_P(DegradedResultTest, PoisonedRowsArePinned)
+{
+    const DegradedPin &pin = GetParam();
+    SimConfig cfg = smallConfig();
+    cfg.design = pin.design;
+    cfg.ecc = EccScheme::SecDed;
+    cfg.faults.model = FaultModel::Chipkill;
+    cfg.faults.chipkillAt = 50;
+    cfg.faults.chipkillChip = 0;
+    const Query q = pinnedQuery(pin.query, cfg.taFields);
+    System sys(cfg);
+    const RunStats r = sys.runQuery(q);
+
+    const QueryResult expect =
+        referenceResult(q, sys.taSchema(), sys.tbSchema());
+    EXPECT_TRUE(r.result == expect || r.result.degraded());
+    EXPECT_EQ(r.result.rows, pin.rows);
+    EXPECT_EQ(r.result.aggregate, pin.aggregate);
+    EXPECT_EQ(r.result.checksum, pin.checksum);
+    EXPECT_EQ(r.result.poisonedRows, pin.poisonedRows);
+}
+
+// {design, query, rows, aggregate, checksum, poisonedRows}
+const DegradedPin kDegradedPins[] = {
+    {DesignKind::Baseline, "Q1", 1, 0, 510, 1015},
+    {DesignKind::Baseline, "Q2", 0, 0, 0, 2038},
+    {DesignKind::Baseline, "Q3", 1, 490, 0, 1014},
+    {DesignKind::Baseline, "Q4", 1, 490, 0, 2038},
+    {DesignKind::Baseline, "Q5", 1, 933, 0, 1015},
+    {DesignKind::Baseline, "Q6", 1, 933, 0, 2039},
+    {DesignKind::Baseline, "Q7", 0, 0, 0, 3062},
+    {DesignKind::Baseline, "Q8", 0, 0, 0, 3062},
+    {DesignKind::Baseline, "Q9", 1, 0, 1434, 1017},
+    {DesignKind::Baseline, "Q10", 2, 0, 2294, 1016},
+    {DesignKind::Baseline, "Q11", 1, 0, 524, 2038},
+    {DesignKind::Baseline, "Q12", 1, 0, 497, 2038},
+    {DesignKind::Baseline, "Qs1", 1024, 0, 9981, 1024},
+    {DesignKind::Baseline, "Qs2", 1024, 0, 11278, 1023},
+    {DesignKind::Baseline, "Qs3", 1, 0, 8714, 1022},
+    {DesignKind::Baseline, "Qs4", 1, 0, 8714, 2045},
+    {DesignKind::Baseline, "Qs5", 128, 0, 8222405, 0},
+    {DesignKind::Baseline, "Qs6", 256, 0, 2063383, 0},
+    {DesignKind::Baseline, "arith", 2, 3576, 0, 1021},
+    {DesignKind::Baseline, "aggr", 2, 4530, 0, 1021},
+    {DesignKind::SamEn, "Q1", 2, 0, 1049, 1008},
+    {DesignKind::SamEn, "Q2", 1, 0, 4006, 2029},
+    {DesignKind::SamEn, "Q3", 2, 950, 0, 1004},
+    {DesignKind::SamEn, "Q4", 4, 0, 0, 2024},
+    {DesignKind::SamEn, "Q5", 2, 1580, 0, 1004},
+    {DesignKind::SamEn, "Q6", 4, 0, 0, 2024},
+    {DesignKind::SamEn, "Q7", 0, 0, 0, 3044},
+    {DesignKind::SamEn, "Q8", 0, 0, 0, 3044},
+    {DesignKind::SamEn, "Q9", 2, 0, 2696, 1012},
+    {DesignKind::SamEn, "Q10", 4, 0, 4920, 1012},
+    {DesignKind::SamEn, "Q11", 4, 0, 3674, 2036},
+    {DesignKind::SamEn, "Q12", 4, 0, 1415, 2036},
+    {DesignKind::SamEn, "Qs1", 1024, 0, 9981, 1024},
+    {DesignKind::SamEn, "Qs2", 1024, 0, 11278, 1023},
+    {DesignKind::SamEn, "Qs3", 1, 0, 8714, 1022},
+    {DesignKind::SamEn, "Qs4", 1, 0, 8714, 2045},
+    {DesignKind::SamEn, "Qs5", 128, 0, 8222405, 0},
+    {DesignKind::SamEn, "Qs6", 256, 0, 2063383, 0},
+    {DesignKind::SamEn, "arith", 3, 7346, 0, 1019},
+    {DesignKind::SamEn, "aggr", 16, 0, 0, 1012},
+    {DesignKind::SamSub, "Q1", 4, 0, 0, 1000},
+    {DesignKind::SamSub, "Q2", 1, 0, 4006, 2029},
+    {DesignKind::SamSub, "Q3", 4, 0, 0, 1000},
+    {DesignKind::SamSub, "Q4", 4, 0, 0, 2024},
+    {DesignKind::SamSub, "Q5", 4, 0, 0, 1000},
+    {DesignKind::SamSub, "Q6", 4, 0, 0, 2024},
+    {DesignKind::SamSub, "Q7", 0, 0, 0, 3044},
+    {DesignKind::SamSub, "Q8", 0, 0, 0, 3044},
+    {DesignKind::SamSub, "Q9", 0, 0, 0, 1012},
+    {DesignKind::SamSub, "Q10", 0, 0, 0, 1012},
+    {DesignKind::SamSub, "Q11", 4, 0, 3674, 2036},
+    {DesignKind::SamSub, "Q12", 4, 0, 1415, 2036},
+    {DesignKind::SamSub, "Qs1", 1024, 0, 9981, 1024},
+    {DesignKind::SamSub, "Qs2", 1024, 0, 11278, 1023},
+    {DesignKind::SamSub, "Qs3", 1, 0, 8714, 1022},
+    {DesignKind::SamSub, "Qs4", 1, 0, 8714, 2045},
+    {DesignKind::SamSub, "Qs5", 128, 0, 8222405, 0},
+    {DesignKind::SamSub, "Qs6", 256, 0, 2063383, 0},
+    {DesignKind::SamSub, "arith", 11, 0, 0, 1007},
+    {DesignKind::SamSub, "aggr", 11, 0, 0, 1007},
+    {DesignKind::Ideal, "Q1", 3, 0, 0, 1003},
+    {DesignKind::Ideal, "Q2", 1, 0, 0, 2025},
+    {DesignKind::Ideal, "Q3", 3, 0, 0, 1003},
+    {DesignKind::Ideal, "Q4", 3, 0, 0, 2027},
+    {DesignKind::Ideal, "Q5", 3, 0, 0, 1003},
+    {DesignKind::Ideal, "Q6", 3, 0, 0, 2027},
+    {DesignKind::Ideal, "Q7", 0, 0, 0, 3048},
+    {DesignKind::Ideal, "Q8", 0, 0, 0, 3048},
+    {DesignKind::Ideal, "Q9", 0, 0, 0, 1013},
+    {DesignKind::Ideal, "Q10", 0, 0, 0, 1013},
+    {DesignKind::Ideal, "Q11", 3, 0, 2111, 2024},
+    {DesignKind::Ideal, "Q12", 3, 0, 1110, 2024},
+    {DesignKind::Ideal, "Qs1", 1024, 0, 9981, 1024},
+    {DesignKind::Ideal, "Qs2", 1024, 0, 11278, 1023},
+    {DesignKind::Ideal, "Qs3", 1, 0, 8714, 1022},
+    {DesignKind::Ideal, "Qs4", 1, 0, 8714, 2045},
+    {DesignKind::Ideal, "Qs5", 128, 0, 8222405, 0},
+    {DesignKind::Ideal, "Qs6", 256, 0, 2063383, 0},
+    {DesignKind::Ideal, "arith", 9, 0, 0, 1009},
+    {DesignKind::Ideal, "aggr", 9, 0, 0, 1009},
+};
+
+INSTANTIATE_TEST_SUITE_P(SecDedChipkill, DegradedResultTest,
+                         ::testing::ValuesIn(kDegradedPins),
+                         [](const auto &info) {
+                             std::string name =
+                                 designName(info.param.design) + "_" +
+                                 info.param.query;
+                             name.erase(std::remove(name.begin(),
+                                                    name.end(), '-'),
+                                        name.end());
+                             return name;
+                         });
+
+// --------------------------------------------------------------------
 // Bounded re-read retry clears transient bus faults
 // --------------------------------------------------------------------
 

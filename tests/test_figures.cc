@@ -59,7 +59,7 @@ TEST(FigureClaimsTest, Fig12ShapesHoldAtQuickScale)
 {
     FigureCampaign fig = buildFigure("fig12", Scale::Quick, true);
     SupervisorConfig cfg;
-    cfg.retry.maxAttempts = 1;
+    cfg.maxAttempts = 1;
     Supervisor supervisor(cfg);
     fig.report = supervisor.run(fig.specs);
     ASSERT_TRUE(fig.report.allDone()) << failureLines(fig);

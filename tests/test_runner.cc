@@ -188,7 +188,7 @@ threadMode(unsigned jobs)
 {
     SupervisorConfig cfg;
     cfg.jobs = jobs;
-    cfg.retry.maxAttempts = 1;
+    cfg.maxAttempts = 1;
     return cfg;
 }
 

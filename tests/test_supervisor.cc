@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for supervised campaign execution: retry/backoff determinism,
+ * Tests for supervised campaign execution: bounded retries,
  * chaos-spec parsing and scheduling, thread- and process-isolation
  * execution, failure classification (crash / hang / error / corrupt),
  * and journal-backed resume through the Supervisor.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <gtest/gtest.h>
 
@@ -68,53 +67,6 @@ poisonSpec()
     q.name = "poison";
     q.fields = {9999};
     return RunSpec{"poison", tinyConfig(DesignKind::SamEn), q, false};
-}
-
-RetryPolicy
-fastRetry(unsigned attempts)
-{
-    RetryPolicy retry;
-    retry.maxAttempts = attempts;
-    retry.baseDelayMs = 1;
-    retry.maxDelayMs = 4;
-    return retry;
-}
-
-// ----- RetryPolicy ---------------------------------------------------
-
-TEST(RetryPolicyTest, BackoffIsDeterministicAndBounded)
-{
-    RetryPolicy retry;
-    retry.maxAttempts = 5;
-    retry.baseDelayMs = 100;
-    retry.maxDelayMs = 5000;
-    retry.jitter = 0.5;
-    retry.seed = 42;
-    for (unsigned attempt = 1; attempt <= 4; ++attempt) {
-        const unsigned a = retry.backoffMs(3, attempt);
-        EXPECT_EQ(retry.backoffMs(3, attempt), a)
-            << "backoff is not a pure function";
-        const unsigned ideal = std::min(5000u, 100u << (attempt - 1));
-        EXPECT_GE(a, ideal / 2) << "attempt " << attempt;
-        EXPECT_LE(a, ideal + ideal / 2) << "attempt " << attempt;
-    }
-    // Different specs and seeds decorrelate (thundering-herd guard).
-    EXPECT_NE(retry.backoffMs(3, 1), retry.backoffMs(4, 1));
-    RetryPolicy other = retry;
-    other.seed = 43;
-    EXPECT_NE(other.backoffMs(3, 1), retry.backoffMs(3, 1));
-}
-
-TEST(RetryPolicyTest, CapsAtMaxDelay)
-{
-    RetryPolicy retry;
-    retry.baseDelayMs = 100;
-    retry.maxDelayMs = 400;
-    retry.jitter = 0.0;
-    EXPECT_EQ(retry.backoffMs(0, 1), 100u);
-    EXPECT_EQ(retry.backoffMs(0, 2), 200u);
-    EXPECT_EQ(retry.backoffMs(0, 3), 400u);
-    EXPECT_EQ(retry.backoffMs(0, 9), 400u);
 }
 
 // ----- chaos spec parsing -------------------------------------------
@@ -240,7 +192,7 @@ TEST(SupervisorTest, ThreadModeRetriesThenFails)
     SupervisorConfig cfg;
     cfg.isolation = Isolation::Thread;
     cfg.jobs = 2;
-    cfg.retry = fastRetry(3);
+    cfg.maxAttempts = 3;
     Supervisor supervisor(cfg);
     const SupervisorReport report = supervisor.run(specs);
 
@@ -312,7 +264,7 @@ TEST(SupervisorTest, ClassifiesWorkerCrash)
     SupervisorConfig cfg;
     cfg.isolation = Isolation::Process;
     cfg.jobs = 2;
-    cfg.retry = fastRetry(2);
+    cfg.maxAttempts = 2;
     std::string error;
     ASSERT_TRUE(parseChaosSpec("seed=1,kill@spec:0", cfg.chaos, error))
         << error;
@@ -336,7 +288,7 @@ TEST(SupervisorTest, ClassifiesCorruptResult)
     SupervisorConfig cfg;
     cfg.isolation = Isolation::Process;
     cfg.jobs = 2;
-    cfg.retry = fastRetry(1);
+    cfg.maxAttempts = 1;
     std::string error;
     ASSERT_TRUE(
         parseChaosSpec("seed=1,corrupt@spec:1", cfg.chaos, error))
@@ -359,7 +311,7 @@ TEST(SupervisorTest, ClassifiesHangViaDeadline)
     cfg.isolation = Isolation::Process;
     cfg.jobs = 2;
     cfg.timeoutMs = 300;
-    cfg.retry = fastRetry(1);
+    cfg.maxAttempts = 1;
     std::string error;
     ASSERT_TRUE(parseChaosSpec("seed=1,hang@spec:0", cfg.chaos, error))
         << error;
@@ -380,7 +332,7 @@ TEST(SupervisorTest, WorkerErrorsCarryTheMessage)
     SupervisorConfig cfg;
     cfg.isolation = Isolation::Process;
     cfg.jobs = 1;
-    cfg.retry = fastRetry(1);
+    cfg.maxAttempts = 1;
     Supervisor supervisor(cfg);
     const SupervisorReport report = supervisor.run(specs);
 
@@ -493,7 +445,7 @@ TEST(SupervisorTest, FailedEntriesAreRetriedOnResume)
         SupervisorConfig cfg;
         cfg.isolation = Isolation::Process;
         cfg.jobs = 2;
-        cfg.retry = fastRetry(1);
+        cfg.maxAttempts = 1;
         cfg.journal = &journal;
         std::string error;
         ASSERT_TRUE(

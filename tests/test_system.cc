@@ -91,6 +91,26 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignKind::Ideal),
     [](const auto &info) { return ident(designName(info.param)); });
 
+// SAM-sub and ideal run the joins late-materialized, keeping one match
+// list per core: more cores than any fixed bound must still be exact.
+TEST(SystemCores, LateMaterializedJoinsRunOnSeventeenCores)
+{
+    for (DesignKind design : {DesignKind::SamSub, DesignKind::Ideal}) {
+        SimConfig cfg = smallConfig();
+        cfg.design = design;
+        cfg.cores = 17;
+        System sys(cfg);
+        for (const Query &q : benchmarkQQueries()) {
+            if (q.kind != QueryKind::Join)
+                continue;
+            const RunStats r = sys.runQuery(q);
+            EXPECT_TRUE(r.result ==
+                        referenceResult(q, sys.taSchema(), sys.tbSchema()))
+                << designName(design) << " " << q.name;
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Paper-shape properties
 // --------------------------------------------------------------------

@@ -324,8 +324,7 @@ main(int argc, char **argv)
             scfg.isolation = isolation;
             scfg.jobs = jobs;
             scfg.timeoutMs = timeout_ms;
-            scfg.retry.maxAttempts = retries;
-            scfg.retry.seed = chaos.seed;
+            scfg.maxAttempts = retries;
             scfg.chaos = chaos;
             scfg.journal = &journal;
             scfg.resume = resuming ? &prior : nullptr;

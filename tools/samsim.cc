@@ -407,7 +407,7 @@ main(int argc, char **argv)
             // the serial path exactly.
             SupervisorConfig scfg;
             scfg.jobs = jobs;
-            scfg.retry.maxAttempts = 1;
+            scfg.maxAttempts = 1;
             Supervisor supervisor(scfg);
             SimConfig dcfg = cfg;
             dcfg.design = design;
