@@ -25,7 +25,6 @@ StoreSnapshot::layOut(Addr base, std::size_t count)
     addrs.reserve(first + count);
     for (std::size_t i = 0; i < count; ++i)
         addrs.push_back(base + i * kCachelineBytes);
-    clean.resize(first + count, true);
 }
 
 void
@@ -187,7 +186,7 @@ BackingStore::refLine(Addr line_addr) const
         return LineRef{arena_.data() + o->offset, o->clean};
     std::size_t slot = 0;
     if (const StoreSnapshot *layer = findLayer(line_addr, slot)) {
-        return LineRef{layer->blob(slot), layer->clean[slot],
+        return LineRef{layer->blob(slot), /*clean=*/true,
                        layer->lazyParity &&
                            blobBytes_ > kCachelineBytes};
     }

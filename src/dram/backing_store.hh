@@ -50,8 +50,8 @@ using BlobPtr = std::shared_ptr<const Blob>;
  * -- at paper scale the map alone would cost gigabytes. `find` is the
  * only lookup path.
  *
- * Every line, padding included, owns a slot (an entry of `addrs` and
- * `clean`), so slot numbering -- and with it fault-target sampling --
+ * Every line, padding included, owns a slot (an entry of `addrs`),
+ * so slot numbering -- and with it fault-target sampling --
  * does not depend on how the bytes are stored. Blob bytes live in one
  * flat arena rather than a heap vector per line. A table layout can
  * be mostly padding (a VerticalGroup table spans whole 128 MiB bands
@@ -61,7 +61,9 @@ using BlobPtr = std::shared_ptr<const Blob>;
  * maps a slot to its arena bytes, and every padding slot reads as one
  * shared all-zero blob -- a valid codeword under every supported
  * (linear) scheme, and exactly what a padding line holds. A snapshot
- * without padding indexes the arena directly by slot.
+ * without padding indexes the arena directly by slot. Every slot is
+ * intact encoder output (or a valid all-zero codeword), so a snapshot
+ * line is clean by construction: faults land in the store's overlay.
  */
 struct StoreSnapshot
 {
@@ -77,8 +79,6 @@ struct StoreSnapshot
 
     /** Line addresses in insertion (slot) order. */
     std::vector<Addr> addrs;
-    /** Parallel to `addrs`: blob is intact encoder output. */
-    std::vector<bool> clean;
     /** Stored bytes per line (data + parity); set before appending. */
     unsigned blobBytes = 0;
     /**

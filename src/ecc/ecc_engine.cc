@@ -1,6 +1,6 @@
 #include "src/ecc/ecc_engine.hh"
 
-#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/logging.hh"
@@ -64,6 +64,33 @@ rsParamsFor(EccScheme scheme)
         return {0, 0};
     }
     panic("unknown EccScheme");
+}
+
+/**
+ * Decode the RS codeword whose k data symbols start at blob[data] and
+ * whose check symbols start at blob[check], each `stride` bytes apart:
+ * gather it into a stack array, decode it in place, and scatter it
+ * back only when corrected.
+ */
+DecodeResult
+decodeStrided(const ReedSolomon &rs, std::uint8_t *blob, unsigned data,
+              unsigned check, unsigned stride, unsigned max_correct)
+{
+    const unsigned k = rs.k();
+    const unsigned n = rs.n();
+    std::uint8_t cw[72];
+    for (unsigned s = 0; s < k; ++s)
+        cw[s] = blob[data + stride * s];
+    for (unsigned s = k; s < n; ++s)
+        cw[s] = blob[check + stride * (s - k)];
+    const DecodeResult r = rs.decode({cw, n}, max_correct);
+    if (r.status == DecodeStatus::Corrected) {
+        for (unsigned s = 0; s < k; ++s)
+            blob[data + stride * s] = cw[s];
+        for (unsigned s = k; s < n; ++s)
+            blob[check + stride * (s - k)] = cw[s];
+    }
+    return r;
 }
 
 } // namespace
@@ -225,70 +252,36 @@ EccEngine::decodeLine(std::vector<std::uint8_t> &blob) const
         break;
 
       case EccScheme::Bamboo72: {
-        std::vector<std::uint8_t> cw(blob.begin(),
-                                     blob.begin() + 72);
-        const DecodeResult r = rs_->decode(cw);
-        if (r.status == DecodeStatus::Corrected)
-            std::copy(cw.begin(), cw.end(), blob.begin());
-        note(r.status,
-             static_cast<unsigned>(r.correctedPositions.size()));
+        const DecodeResult r =
+            decodeStrided(*rs_, blob.data(), 0, 64, 1, ~0u);
+        note(r.status, r.numCorrected);
         break;
       }
 
       case EccScheme::Ssc:
         for (unsigned j = 0; j < 4; ++j) {
-            std::vector<std::uint8_t> cw(blob.begin() + 16 * j,
-                                         blob.begin() + 16 * (j + 1));
-            cw.push_back(blob[64 + 2 * j]);
-            cw.push_back(blob[64 + 2 * j + 1]);
-            const DecodeResult r = rs_->decode(cw);
-            if (r.status == DecodeStatus::Corrected) {
-                std::copy(cw.begin(), cw.begin() + 16,
-                          blob.begin() + 16 * j);
-                blob[64 + 2 * j] = cw[16];
-                blob[64 + 2 * j + 1] = cw[17];
-            }
-            note(r.status,
-                 static_cast<unsigned>(r.correctedPositions.size()));
+            const DecodeResult r = decodeStrided(*rs_, blob.data(), 16 * j,
+                                                 64 + 2 * j, 1, ~0u);
+            note(r.status, r.numCorrected);
         }
         break;
 
       case EccScheme::SscDsd:
+        // SSC-DSD policy: correct one chip symbol, detect two.
         for (unsigned j = 0; j < 2; ++j) {
-            std::vector<std::uint8_t> cw(blob.begin() + 32 * j,
-                                         blob.begin() + 32 * (j + 1));
-            for (unsigned p = 0; p < 4; ++p)
-                cw.push_back(blob[64 + 4 * j + p]);
-            // SSC-DSD policy: correct one chip symbol, detect two.
-            const DecodeResult r = rs_->decode(cw, 1);
-            if (r.status == DecodeStatus::Corrected) {
-                std::copy(cw.begin(), cw.begin() + 32,
-                          blob.begin() + 32 * j);
-                for (unsigned p = 0; p < 4; ++p)
-                    blob[64 + 4 * j + p] = cw[32 + p];
-            }
-            note(r.status,
-                 static_cast<unsigned>(r.correctedPositions.size()));
+            const DecodeResult r = decodeStrided(*rs_, blob.data(), 32 * j,
+                                                 64 + 4 * j, 1, 1);
+            note(r.status, r.numCorrected);
         }
         break;
 
       case EccScheme::Ssc32:
+        // Interleave i of codeword pair j: every other byte.
         for (unsigned j = 0; j < 2; ++j) {
             for (unsigned i = 0; i < 2; ++i) {
-                std::vector<std::uint8_t> cw(18);
-                for (unsigned s = 0; s < 16; ++s)
-                    cw[s] = blob[32 * j + 2 * s + i];
-                cw[16] = blob[64 + 4 * j + i];
-                cw[17] = blob[64 + 4 * j + 2 + i];
-                const DecodeResult r = rs_->decode(cw);
-                if (r.status == DecodeStatus::Corrected) {
-                    for (unsigned s = 0; s < 16; ++s)
-                        blob[32 * j + 2 * s + i] = cw[s];
-                    blob[64 + 4 * j + i] = cw[16];
-                    blob[64 + 4 * j + 2 + i] = cw[17];
-                }
-                note(r.status,
-                     static_cast<unsigned>(r.correctedPositions.size()));
+                const DecodeResult r = decodeStrided(
+                    *rs_, blob.data(), 32 * j + i, 64 + 4 * j + i, 2, ~0u);
+                note(r.status, r.numCorrected);
             }
         }
         break;
@@ -296,107 +289,78 @@ EccEngine::decodeLine(std::vector<std::uint8_t> &blob) const
     return result;
 }
 
-std::vector<std::size_t>
-EccEngine::chipBits(unsigned chip) const
+unsigned
+EccEngine::chipBytesPerLine() const
 {
-    sam_assert(chip < numChips(), "chip ", chip, " out of range");
-    std::vector<std::size_t> bits;
+    switch (scheme_) {
+      case EccScheme::None:
+      case EccScheme::SecDed:   return 8;
+      case EccScheme::SscDsd:   return 2;
+      case EccScheme::Ssc:
+      case EccScheme::Ssc32:
+      case EccScheme::Bamboo72: return 4;
+    }
+    panic("unknown EccScheme");
+}
 
+EccEngine::ChipByte
+EccEngine::chipByte(unsigned chip, unsigned i) const
+{
     switch (scheme_) {
       case EccScheme::None:
       case EccScheme::SecDed:
-        // x4 geometry: per 72-bit codeword, data chip c drives data bits
-        // [4c, 4c+4); parity chips drive the check byte nibbles.
-        for (unsigned j = 0; j < 8; ++j) {
-            if (chip < 16) {
-                for (unsigned b = 0; b < 4; ++b)
-                    bits.push_back(static_cast<std::size_t>(8 * j) * 8 +
-                                   4 * chip + b);
-            } else if (scheme_ == EccScheme::SecDed) {
-                const unsigned lo = (chip - 16) * 4;
-                for (unsigned b = 0; b < 4; ++b)
-                    bits.push_back(static_cast<std::size_t>(64 + j) * 8 +
-                                   lo + b);
-            }
-        }
-        break;
-
-      default:
-        for (std::size_t byte : chipBytes(chip)) {
-            for (unsigned b = 0; b < 8; ++b)
-                bits.push_back(byte * 8 + b);
-        }
-        break;
-    }
-    return bits;
-}
-
-std::vector<std::size_t>
-EccEngine::chipBytes(unsigned chip) const
-{
-    std::vector<std::size_t> bytes;
-    switch (scheme_) {
+        // x4 geometry: in 72-bit codeword i, data chip c drives data
+        // bits [4c, 4c+4); the two parity chips drive the check byte's
+        // nibbles.
+        return {chip < 16 ? 8 * i + chip / 2 : 64 + i,
+                static_cast<std::uint8_t>(0x0f << (4 * (chip % 2)))};
       case EccScheme::Ssc:
-        for (unsigned j = 0; j < 4; ++j) {
-            if (chip < 16)
-                bytes.push_back(16 * j + chip);
-            else
-                bytes.push_back(64 + 2 * j + (chip - 16));
-        }
-        break;
-
       case EccScheme::Bamboo72:
-        // Chip c's four 8-bit symbols: one per 18-symbol stripe.
-        for (unsigned j = 0; j < 4; ++j) {
-            if (chip < 16)
-                bytes.push_back(16 * j + chip);
-            else
-                bytes.push_back(64 + 2 * j + (chip - 16));
-        }
-        break;
-
+        // Symbol `chip` of RS(18,16) codeword (or Bamboo stripe) i.
+        return {chip < 16 ? 16 * i + chip : 64 + 2 * i + (chip - 16),
+                0xff};
       case EccScheme::SscDsd:
-        for (unsigned j = 0; j < 2; ++j) {
-            if (chip < 32)
-                bytes.push_back(32 * j + chip);
-            else
-                bytes.push_back(64 + 4 * j + (chip - 32));
-        }
-        break;
-
-      case EccScheme::Ssc32:
-        for (unsigned j = 0; j < 2; ++j) {
-            if (chip < 16) {
-                bytes.push_back(32 * j + 2 * chip);
-                bytes.push_back(32 * j + 2 * chip + 1);
-            } else {
-                bytes.push_back(64 + 4 * j + 2 * (chip - 16));
-                bytes.push_back(64 + 4 * j + 2 * (chip - 16) + 1);
-            }
-        }
-        break;
-
-      default:
-        panic("chipBytes: bit-granular scheme");
+        return {chip < 32 ? 32 * i + chip : 64 + 4 * i + (chip - 32),
+                0xff};
+      case EccScheme::Ssc32: {
+        // Both interleaves of the chip's 16-bit symbol in codeword
+        // pair i / 2.
+        const unsigned j = i / 2;
+        return {(chip < 16 ? 32 * j + 2 * chip
+                           : 64 + 4 * j + 2 * (chip - 16)) +
+                    i % 2,
+                0xff};
+      }
     }
-    return bytes;
+    panic("unknown EccScheme");
 }
 
 void
 EccEngine::corruptChip(std::vector<std::uint8_t> &blob, unsigned chip) const
 {
-    for (std::size_t bit : chipBits(chip))
-        flipBit(blob, bit);
+    sam_assert(chip < numChips(), "chip ", chip, " out of range");
+    sam_assert(blob.size() == kCachelineBytes + parityBytesPerLine(),
+               "corruptChip: wrong blob size ", blob.size());
+    for (unsigned i = 0; i < chipBytesPerLine(); ++i) {
+        const ChipByte b = chipByte(chip, i);
+        blob[b.index] ^= b.mask;
+    }
 }
 
 void
 EccEngine::corruptChipBits(std::vector<std::uint8_t> &blob, unsigned chip,
                            unsigned nbits, Rng &rng) const
 {
-    auto bits = chipBits(chip);
-    sam_assert(!bits.empty(), "chip drives no bits");
-    for (unsigned i = 0; i < nbits; ++i)
-        flipBit(blob, bits[rng.below(bits.size())]);
+    sam_assert(chip < numChips(), "chip ", chip, " out of range");
+    // The chip's bits in blob order: byte by byte, low bit first.
+    const unsigned per_byte = std::popcount(chipByte(chip, 0).mask);
+    const unsigned count = chipBytesPerLine() * per_byte;
+    for (unsigned n = 0; n < nbits; ++n) {
+        const std::uint64_t k = rng.below(count);
+        const ChipByte b = chipByte(chip, static_cast<unsigned>(k / per_byte));
+        flipBit(blob, 8 * b.index + std::countr_zero(b.mask) +
+                          k % per_byte);
+    }
 }
 
 void

@@ -163,11 +163,18 @@ class EccEngine
     const EccEngineStats &stats() const { return stats_; }
 
   private:
-    /** Byte indices within the blob that chip `chip` contributes to. */
-    std::vector<std::size_t> chipBytes(unsigned chip) const;
+    /** One blob byte a chip drives, and which of its bits. */
+    struct ChipByte
+    {
+        std::size_t index;
+        std::uint8_t mask;
+    };
 
-    /** Bit indices (absolute in blob) chip `chip` drives. */
-    std::vector<std::size_t> chipBits(unsigned chip) const;
+    /** Blob bytes each chip drives: 8 x4 nibbles or 2-4 symbols. */
+    unsigned chipBytesPerLine() const;
+
+    /** The i-th blob byte chip `chip` drives, in blob order. */
+    ChipByte chipByte(unsigned chip, unsigned i) const;
 
     EccScheme scheme_;
     /** Shared immutable codec (CodecRegistry), or ownedRs_.get(). */

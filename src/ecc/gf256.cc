@@ -4,38 +4,7 @@
 
 namespace sam {
 
-GF256::Tables::Tables()
-{
-    // Build exp/log tables for generator alpha = 0x02 modulo 0x11d.
-    unsigned x = 1;
-    for (unsigned i = 0; i < 255; ++i) {
-        exp[i] = static_cast<Elem>(x);
-        log[x] = i;
-        x <<= 1;
-        if (x & 0x100)
-            x ^= 0x11d;
-    }
-    // Duplicate the table so mul() can skip the mod-255 reduction.
-    for (unsigned i = 255; i < 512; ++i)
-        exp[i] = exp[i - 255];
-    log[0] = 0; // never read; log() guards zero
-}
-
-const GF256::Tables &
-GF256::tables()
-{
-    static const Tables t;
-    return t;
-}
-
-GF256::Elem
-GF256::mul(Elem a, Elem b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    const Tables &t = tables();
-    return t.exp[t.log[a] + t.log[b]];
-}
+using gf256_detail::kTables;
 
 GF256::Elem
 GF256::div(Elem a, Elem b)
@@ -43,16 +12,14 @@ GF256::div(Elem a, Elem b)
     sam_assert(b != 0, "GF256 division by zero");
     if (a == 0)
         return 0;
-    const Tables &t = tables();
-    return t.exp[t.log[a] + 255 - t.log[b]];
+    return kTables.exp[kTables.log[a] + 255 - kTables.log[b]];
 }
 
 GF256::Elem
 GF256::inv(Elem a)
 {
     sam_assert(a != 0, "GF256 inverse of zero");
-    const Tables &t = tables();
-    return t.exp[255 - t.log[a]];
+    return kTables.exp[255 - kTables.log[a]];
 }
 
 GF256::Elem
@@ -62,21 +29,15 @@ GF256::pow(Elem a, unsigned n)
         return 1;
     if (a == 0)
         return 0;
-    const Tables &t = tables();
-    return t.exp[(static_cast<unsigned long>(t.log[a]) * n) % 255];
-}
-
-GF256::Elem
-GF256::alphaPow(unsigned n)
-{
-    return tables().exp[n % 255];
+    return kTables.exp[(static_cast<unsigned long>(kTables.log[a]) * n) %
+                       255];
 }
 
 unsigned
 GF256::log(Elem a)
 {
     sam_assert(a != 0, "GF256 log of zero");
-    return tables().log[a];
+    return kTables.log[a];
 }
 
 } // namespace sam

@@ -12,6 +12,8 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k)
 {
     sam_assert(n > k && n <= 255, "invalid RS(n,k): n=", n, " k=", k);
     sam_assert((n - k) % 2 == 0, "RS check symbol count must be even");
+    sam_assert(n - k <= kMaxCheckSymbols, "RS(", n, ",", k, "): ", n - k,
+               " check symbols exceed the decoder's fixed scratch");
 
     // g(x) = prod_{i=0}^{2t-1} (x + alpha^i), low-order coefficient first.
     const unsigned two_t = n - k;
@@ -73,8 +75,6 @@ ReedSolomon::encodeParity(const std::uint8_t *data,
                           std::uint8_t *parity) const
 {
     const unsigned two_t = n_ - k_;
-    sam_assert(two_t <= 64, "RS encodeParity: ", two_t,
-               " check symbols exceed the stack remainder buffer");
     if (!encTable_.empty()) {
         // Packed LFSR: byte b of `rem` is remainder coefficient
         // rem[b] with the highest degree at byte 0.
@@ -90,7 +90,7 @@ ReedSolomon::encodeParity(const std::uint8_t *data,
     }
     // Synthetic division of m(x) * x^{2t} by g(x); rem is kept
     // highest-degree-first so it lands in `parity` directly.
-    std::uint8_t rem[64] = {0};
+    std::uint8_t rem[kMaxCheckSymbols] = {0};
     for (unsigned j = 0; j < k_; ++j) {
         const std::uint8_t coef = data[j] ^ rem[0];
         std::memmove(rem, rem + 1, two_t - 1);
@@ -115,158 +115,212 @@ ReedSolomon::encode(const std::vector<std::uint8_t> &data) const
     return codeword;
 }
 
+namespace {
+
+/** Evaluate `poly` (len coefficients, low-order first) at x, by Horner. */
 GF256::Elem
-ReedSolomon::evalPoly(const std::vector<std::uint8_t> &poly, GF256::Elem x)
+evalPoly(const std::uint8_t *poly, unsigned len, GF256::Elem x)
 {
-    // Coefficients are low-order-first; evaluate with Horner from the top.
     GF256::Elem acc = 0;
-    for (auto it = poly.rbegin(); it != poly.rend(); ++it)
-        acc = GF256::add(GF256::mul(acc, x), *it);
+    for (unsigned i = len; i-- > 0;)
+        acc = GF256::add(GF256::mul(acc, x), poly[i]);
     return acc;
 }
 
+} // namespace
+
+bool
+ReedSolomon::syndromes(const std::uint8_t *cw, std::uint8_t *synd) const
+{
+    const unsigned two_t = n_ - k_;
+    if (!syndTable_.empty()) {
+        // One 64-bit XOR per nonzero symbol via the sliced table.
+        std::uint64_t packed = 0;
+        for (unsigned j = 0; j < n_; ++j) {
+            if (cw[j] != 0)
+                packed ^= syndTable_[std::size_t{j} * 256 + cw[j]];
+        }
+        for (unsigned i = 0; i < two_t; ++i)
+            synd[i] = static_cast<std::uint8_t>(packed >> (8 * i));
+        return packed != 0;
+    }
+    // Horner for all 2t syndromes at once, symbol by symbol: the 2t
+    // accumulators are independent, so their multiplies overlap.
+    std::memset(synd, 0, two_t);
+    for (unsigned j = 0; j < n_; ++j) {
+        for (unsigned i = 0; i < two_t; ++i)
+            synd[i] = GF256::add(GF256::mul(synd[i], GF256::alphaPow(i)),
+                                 cw[j]);
+    }
+    bool any = false;
+    for (unsigned i = 0; i < two_t; ++i)
+        any = any || synd[i] != 0;
+    return any;
+}
+
 DecodeResult
-ReedSolomon::decode(std::vector<std::uint8_t> &codeword,
+ReedSolomon::decode(std::span<std::uint8_t> codeword,
                     unsigned max_correct) const
 {
     sam_assert(codeword.size() == n_, "RS decode: expected ", n_,
                " symbols, got ", codeword.size());
 
-    const unsigned two_t = n_ - k_;
-
+    std::uint8_t *cw = codeword.data();
+    std::uint8_t synd[kMaxCheckSymbols];
     DecodeResult result;
-    std::vector<std::uint8_t> synd(two_t, 0);
-    if (!syndTable_.empty()) {
-        // Syndromes S_i = c(alpha^i) via the sliced table: one 64-bit
-        // XOR per nonzero symbol, and a branch-free all-zero check that
-        // bails before any Berlekamp-Massey allocation.
-        std::uint64_t packed = 0;
-        for (unsigned j = 0; j < n_; ++j) {
-            const std::uint8_t v = codeword[j];
-            if (v != 0)
-                packed ^= syndTable_[std::size_t{j} * 256 + v];
-        }
-        if (packed == 0) {
-            result.status = DecodeStatus::Clean;
-            return result;
-        }
-        for (unsigned i = 0; i < two_t; ++i) {
-            synd[i] =
-                static_cast<std::uint8_t>((packed >> (8 * i)) & 0xff);
-        }
-    } else {
-        bool any = false;
-        for (unsigned i = 0; i < two_t; ++i) {
-            const GF256::Elem x = GF256::alphaPow(i);
-            GF256::Elem acc = 0;
-            for (unsigned j = 0; j < n_; ++j)
-                acc = GF256::add(GF256::mul(acc, x), codeword[j]);
-            synd[i] = acc;
-            any = any || acc != 0;
-        }
-        if (!any) {
-            result.status = DecodeStatus::Clean;
+    if (!syndromes(cw, synd))
+        return result;
+
+    result.status = DecodeStatus::Detected;
+    const unsigned limit = std::min(max_correct, t());
+    if (limit == 0)
+        return result;
+
+    // One symbol error e at position j has S_i = e * X^i with locator
+    // X = alpha^{n-1-j}: S_0 is the magnitude and every syndrome is X
+    // times the one before. That is exactly the length-1 LFSR that
+    // Berlekamp-Massey, Chien and Forney would find, so its answer
+    // follows in closed form, and the corrected word has all-zero
+    // syndromes by construction. Every single-chip failure under SSC,
+    // SSC-DSD and SSC-32 takes this path.
+    const unsigned two_t = n_ - k_;
+    if (synd[0] != 0 && synd[1] != 0) {
+        const GF256::Elem x = GF256::div(synd[1], synd[0]);
+        unsigned i = 2;
+        while (i < two_t && synd[i] == GF256::mul(x, synd[i - 1]))
+            ++i;
+        if (i == two_t) {
+            const unsigned log_x = GF256::log(x);
+            if (log_x >= n_)
+                return result; // locator outside the shortened code
+            const unsigned j = n_ - 1 - log_x;
+            cw[j] ^= synd[0];
+            result.status = DecodeStatus::Corrected;
+            result.numCorrected = 1;
+            result.positions[0] = static_cast<std::uint8_t>(j);
             return result;
         }
     }
+    // Any other nonzero syndrome needs a locator of degree >= 2 (or
+    // has no valid root), which a limit of one never corrects.
+    if (limit < 2)
+        return result;
+    return correctMany(cw, synd, limit);
+}
 
-    // Berlekamp-Massey: find the error locator polynomial Lambda(x).
-    std::vector<std::uint8_t> lambda{1};
-    std::vector<std::uint8_t> prev{1};
+DecodeResult
+ReedSolomon::correctMany(std::uint8_t *cw, const std::uint8_t *synd,
+                         unsigned limit) const
+{
+    const unsigned two_t = n_ - k_;
+    DecodeResult result;
+    result.status = DecodeStatus::Detected;
+
+    // Berlekamp-Massey: the error locator Lambda(x), low order first.
+    // Every polynomial it builds has degree <= its LFSR length
+    // `errors` <= 2t, so 2t + 1 zero-padded coefficients hold it.
+    std::uint8_t lambda[kMaxCheckSymbols + 1] = {1};
+    std::uint8_t prev[kMaxCheckSymbols + 1] = {1};
+    std::uint8_t saved[kMaxCheckSymbols + 1];
     unsigned errors = 0;  // current LFSR length L
     unsigned shift = 1;   // m: gap since last length change
     GF256::Elem prev_delta = 1;
     for (unsigned iter = 0; iter < two_t; ++iter) {
         GF256::Elem delta = synd[iter];
-        for (unsigned i = 1; i <= errors && i < lambda.size(); ++i)
-            delta = GF256::add(delta,
-                               GF256::mul(lambda[i], synd[iter - i]));
+        for (unsigned i = 1; i <= errors; ++i)
+            delta ^= GF256::mul(lambda[i], synd[iter - i]);
         if (delta == 0) {
             ++shift;
             continue;
         }
-        // candidate = lambda - (delta/prev_delta) * x^shift * prev
-        std::vector<std::uint8_t> candidate(lambda);
+        // lambda -= (delta/prev_delta) * x^shift * prev
+        const bool lengthen = 2 * errors <= iter;
+        if (lengthen)
+            std::memcpy(saved, lambda, two_t + 1);
         const GF256::Elem scale = GF256::div(delta, prev_delta);
-        if (candidate.size() < prev.size() + shift)
-            candidate.resize(prev.size() + shift, 0);
-        for (std::size_t i = 0; i < prev.size(); ++i)
-            candidate[i + shift] ^= GF256::mul(scale, prev[i]);
-        if (2 * errors <= iter) {
-            prev = std::move(lambda);
+        for (unsigned i = 0; i + shift <= two_t; ++i)
+            lambda[i + shift] ^= GF256::mul(scale, prev[i]);
+        if (lengthen) {
+            std::memcpy(prev, saved, two_t + 1);
             prev_delta = delta;
             errors = iter + 1 - errors;
             shift = 1;
         } else {
             ++shift;
         }
-        lambda = std::move(candidate);
     }
-
-    const unsigned limit = std::min(max_correct, t());
-    if (errors > limit) {
-        result.status = DecodeStatus::Detected;
+    if (errors > limit)
         return result;
-    }
 
-    // Omega(x) = S(x) * Lambda(x) mod x^{2t}
-    std::vector<std::uint8_t> omega(two_t, 0);
-    for (unsigned i = 0; i < two_t; ++i) {
-        for (std::size_t j = 0; j < lambda.size() && j <= i; ++j)
-            omega[i] ^= GF256::mul(synd[i - j], lambda[j]);
+    // Chien search: position j is a root when Lambda(Y_j) == 0 with
+    // Y_j = alpha^{-(n-1-j)}. In the log domain, a nonzero lambda[i]
+    // contributes alpha^{lt[i]}, and lt[i] steps by i per position.
+    // lambda[0] is 1. A degree-L locator has at most L roots, and
+    // L <= t, so `positions` holds them all.
+    unsigned lt[DecodeResult::kMaxCorrect];
+    unsigned step[DecodeResult::kMaxCorrect];
+    unsigned terms = 0;
+    const unsigned log_y0 = (255 - (n_ - 1) % 255) % 255;
+    for (unsigned i = 1; i <= errors; ++i) {
+        if (lambda[i] != 0) {
+            lt[terms] = (GF256::log(lambda[i]) + log_y0 * i) % 255;
+            step[terms++] = i;
+        }
     }
-
-    // Formal derivative of Lambda (char-2: even-power terms vanish).
-    std::vector<std::uint8_t> lambda_deriv;
-    for (std::size_t i = 1; i < lambda.size(); i += 2) {
-        lambda_deriv.resize(i, 0);
-        lambda_deriv[i - 1] = lambda[i];
-    }
-
-    // Chien search over the n valid positions; position j has locator
-    // X_j = alpha^{n-1-j}.
-    std::vector<std::uint8_t> fixed(codeword);
     unsigned roots = 0;
     for (unsigned j = 0; j < n_; ++j) {
-        const GF256::Elem x = GF256::alphaPow(n_ - 1 - j);
-        const GF256::Elem x_inv = GF256::inv(x);
-        if (evalPoly(lambda, x_inv) != 0)
-            continue;
-        ++roots;
-        // Forney (first root b = 0): e = X * Omega(X^-1) / Lambda'(X^-1)
-        const GF256::Elem denom = evalPoly(lambda_deriv, x_inv);
-        if (denom == 0) {
-            result.status = DecodeStatus::Detected;
-            return result;
+        GF256::Elem sum = 1;
+        for (unsigned i = 0; i < terms; ++i) {
+            sum ^= GF256::alphaPow(lt[i]);
+            lt[i] += step[i];
+            if (lt[i] >= 255)
+                lt[i] -= 255;
         }
-        const GF256::Elem magnitude =
-            GF256::mul(x, GF256::div(evalPoly(omega, x_inv), denom));
-        fixed[j] ^= magnitude;
-        result.correctedPositions.push_back(j);
+        if (sum == 0)
+            result.positions[roots++] = static_cast<std::uint8_t>(j);
+    }
+    if (roots != errors)
+        return result; // locator degree and root count disagree
+
+    // Forney (first root b = 0): e = X * Omega(X^-1) / Lambda'(X^-1),
+    // with Omega(x) = S(x) * Lambda(x) mod x^{2t} and Lambda' keeping
+    // the odd-power terms (characteristic 2).
+    std::uint8_t omega[kMaxCheckSymbols];
+    for (unsigned i = 0; i < two_t; ++i) {
+        omega[i] = 0;
+        for (unsigned j = 0; j <= i && j <= errors; ++j)
+            omega[i] ^= GF256::mul(synd[i - j], lambda[j]);
+    }
+    std::uint8_t magnitude[DecodeResult::kMaxCorrect];
+    for (unsigned r = 0; r < roots; ++r) {
+        const unsigned log_x = n_ - 1 - result.positions[r];
+        const GF256::Elem y = GF256::alphaPow(255 - log_x);
+        const GF256::Elem y2 = GF256::mul(y, y);
+        GF256::Elem denom = 0;
+        GF256::Elem y_pow = 1; // y^{i-1} for odd i
+        for (unsigned i = 1; i <= errors; i += 2) {
+            denom ^= GF256::mul(lambda[i], y_pow);
+            y_pow = GF256::mul(y_pow, y2);
+        }
+        if (denom == 0)
+            return result;
+        magnitude[r] =
+            GF256::mul(GF256::alphaPow(log_x),
+                       GF256::div(evalPoly(omega, two_t, y), denom));
     }
 
-    if (roots != errors) {
-        // Locator degree and root count disagree: uncorrectable.
-        result.status = DecodeStatus::Detected;
-        result.correctedPositions.clear();
+    // Apply, then re-verify: the corrected word must have all-zero
+    // syndromes, or the word is restored and reported Detected.
+    for (unsigned r = 0; r < roots; ++r)
+        cw[result.positions[r]] ^= magnitude[r];
+    std::uint8_t check[kMaxCheckSymbols];
+    if (syndromes(cw, check)) {
+        for (unsigned r = 0; r < roots; ++r)
+            cw[result.positions[r]] ^= magnitude[r];
         return result;
     }
-
-    // Re-verify: corrected word must have all-zero syndromes.
-    for (unsigned i = 0; i < two_t; ++i) {
-        const GF256::Elem x = GF256::alphaPow(i);
-        GF256::Elem acc = 0;
-        for (unsigned j = 0; j < n_; ++j)
-            acc = GF256::add(GF256::mul(acc, x), fixed[j]);
-        if (acc != 0) {
-            result.status = DecodeStatus::Detected;
-            result.correctedPositions.clear();
-            return result;
-        }
-    }
-
-    codeword = std::move(fixed);
     result.status = DecodeStatus::Corrected;
+    result.numCorrected = roots;
     return result;
 }
 

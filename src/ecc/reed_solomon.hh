@@ -5,14 +5,18 @@
  * Chipkill SSC is RS(18,16) with t = 1 (corrects any single chip symbol);
  * the SSC-DSD operating point maps to RS(36,32) with t = 2 where each chip
  * contributes one 8-bit symbol formed from two 4-bit beats (see
- * DESIGN.md, Substitutions). The decoder implements syndrome computation,
- * Berlekamp-Massey, Chien search, and Forney's algorithm.
+ * DESIGN.md, Substitutions). The decoder computes syndromes, corrects
+ * a single symbol error in closed form, and runs Berlekamp-Massey,
+ * Chien search and Forney's algorithm for anything else, all in place
+ * on fixed-size scratch.
  */
 
 #ifndef SAM_ECC_REED_SOLOMON_HH
 #define SAM_ECC_REED_SOLOMON_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/ecc/gf256.hh"
@@ -30,9 +34,17 @@ enum class DecodeStatus {
 /** Result of decoding one codeword. */
 struct DecodeResult
 {
+    /** Most symbols any supported code corrects: t <= 32. */
+    static constexpr unsigned kMaxCorrect = 32;
+
     DecodeStatus status = DecodeStatus::Clean;
-    /** Symbol positions the decoder corrected (codeword indexing). */
-    std::vector<unsigned> correctedPositions;
+    /** Symbols corrected; zero unless status is Corrected. */
+    unsigned numCorrected = 0;
+    /**
+     * Codeword positions of the corrected symbols, ascending; the
+     * first numCorrected entries are valid.
+     */
+    std::array<std::uint8_t, kMaxCorrect> positions{};
 };
 
 /**
@@ -45,9 +57,14 @@ struct DecodeResult
 class ReedSolomon
 {
   public:
+    /** Most check symbols a codec may have: the decoder's scratch. */
+    static constexpr unsigned kMaxCheckSymbols =
+        2 * DecodeResult::kMaxCorrect;
+
     /**
      * @param n Total symbols per codeword (data + check), n <= 255.
-     * @param k Data symbols per codeword; (n - k) must be even.
+     * @param k Data symbols per codeword; (n - k) must be even and at
+     *          most kMaxCheckSymbols.
      */
     ReedSolomon(unsigned n, unsigned k);
 
@@ -75,17 +92,29 @@ class ReedSolomon
 
     /**
      * Decode `codeword` (n symbols) in place, correcting up to t symbol
-     * errors. If `max_correct` is less than t, the decoder refuses to
-     * correct more than `max_correct` symbols and reports Detected
-     * instead (models SSC-DSD's correct-one/detect-two policy).
+     * errors, allocation-free. The word is written only when the
+     * result is Corrected. If `max_correct` is less than t, the decoder
+     * refuses to correct more than `max_correct` symbols and reports
+     * Detected instead (models SSC-DSD's correct-one/detect-two
+     * policy).
      */
-    DecodeResult decode(std::vector<std::uint8_t> &codeword,
+    DecodeResult decode(std::span<std::uint8_t> codeword,
                         unsigned max_correct = ~0u) const;
 
   private:
-    /** Evaluate polynomial `poly` (coefficients low-order first) at x. */
-    static GF256::Elem evalPoly(const std::vector<std::uint8_t> &poly,
-                                GF256::Elem x);
+    /**
+     * Syndromes S_i = c(alpha^i) of the n symbols at `cw` into
+     * synd[0, 2t); false when every one is zero (a clean codeword).
+     */
+    bool syndromes(const std::uint8_t *cw, std::uint8_t *synd) const;
+
+    /**
+     * Berlekamp-Massey, Chien search and Forney for syndromes that are
+     * not one symbol error, correcting at most `limit` symbols of `cw`
+     * in place and re-verifying the result.
+     */
+    DecodeResult correctMany(std::uint8_t *cw, const std::uint8_t *synd,
+                             unsigned limit) const;
 
     unsigned n_;
     unsigned k_;
@@ -95,9 +124,9 @@ class ReedSolomon
      * Sliced syndrome table: entry [j * 256 + v] packs the
      * contribution of symbol value v at codeword position j to all 2t
      * syndromes, syndrome i in byte i (2t <= 8 for every supported
-     * code). Syndromes of a whole codeword are then one table XOR per
-     * nonzero symbol, so the all-zero-syndrome bail-out never touches
-     * Berlekamp-Massey.
+     * memory-ECC code). Syndromes of a whole codeword are then one
+     * table XOR per nonzero symbol, both for the clean check and for
+     * re-verifying a corrected word.
      */
     std::vector<std::uint64_t> syndTable_;
     /**

@@ -57,15 +57,18 @@ class MemPort
     /** Account `cycles` of core compute time. */
     virtual void compute(Cycle cycles) = 0;
 
-    // ----- RAS poison reporting (optional) ---------------------------
+    // ----- RAS poison reporting --------------------------------------
+    // Required: CoreExec::read keeps a poisoned value out of every
+    // result, so a port that dropped poison would corrupt silently.
+
     /** Whether the last load() returned RAS-poisoned data. */
-    virtual bool lastAccessPoisoned() const { return false; }
+    virtual bool lastAccessPoisoned() const = 0;
 
     /**
      * Per-chunk poison bits of the last strideLoadInto() (bit i =
      * chunk i of the gathered line, i.e. source line i of the plan).
      */
-    virtual std::uint32_t strideLoadPoisonBits() const { return 0; }
+    virtual std::uint32_t strideLoadPoisonBits() const = 0;
 };
 
 /** Merged functional result of a query (compared against a reference). */
@@ -76,12 +79,16 @@ struct QueryResult
     std::uint64_t checksum = 0;  ///< Sum of all projected values.
 
     /**
-     * Rows whose data was RAS-poisoned (uncorrectable memory errors
-     * that survived retry). Such rows contribute nothing to rows /
-     * aggregate / checksum: the query degrades gracefully instead of
-     * silently returning corrupt values. Not part of equality --
-     * a degraded result is compared on what it *did* compute, and
-     * callers must check degraded() before trusting a mismatch.
+     * Rows (distinct table records) with at least one RAS-poisoned
+     * read: uncorrectable memory errors that survived retry. A
+     * poisoned value never enters the result. A poisoned predicate
+     * read qualifies nothing, and a poisoned projected or aggregated
+     * value adds nothing to aggregate / checksum. A row still counts
+     * in `rows` once its predicate passes (every row, for a query
+     * without one), even when its projected values then come back
+     * poisoned. Not part of equality -- a degraded result is compared
+     * on what it *did* compute, and callers must check degraded()
+     * before trusting a mismatch.
      */
     std::uint64_t poisonedRows = 0;
 

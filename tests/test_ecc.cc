@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.hh"
@@ -138,6 +141,13 @@ TEST(GF256, ZeroOperandsPanic)
 // Reed-Solomon
 // --------------------------------------------------------------------
 
+/** The positions a decode reports as corrected. */
+std::vector<unsigned>
+positionsOf(const DecodeResult &r)
+{
+    return {r.positions.begin(), r.positions.begin() + r.numCorrected};
+}
+
 std::vector<std::uint8_t>
 randomData(Rng &rng, unsigned k)
 {
@@ -169,8 +179,8 @@ TEST(ReedSolomon, SscCorrectsAnySingleSymbol)
         cw[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
         const auto r = rs.decode(cw);
         ASSERT_EQ(r.status, DecodeStatus::Corrected) << "pos=" << pos;
-        ASSERT_EQ(r.correctedPositions.size(), 1u);
-        EXPECT_EQ(r.correctedPositions[0], pos);
+        ASSERT_EQ(r.numCorrected, 1u);
+        EXPECT_EQ(r.positions[0], pos);
         EXPECT_EQ(cw, original);
     }
 }
@@ -230,7 +240,7 @@ TEST_P(RsParamTest, CorrectsUpToTErrors)
         const auto r = rs.decode(cw);
         ASSERT_EQ(r.status, DecodeStatus::Corrected);
         EXPECT_EQ(cw, original);
-        EXPECT_EQ(r.correctedPositions.size(), rs.t());
+        EXPECT_EQ(r.numCorrected, rs.t());
     }
 }
 
@@ -272,6 +282,26 @@ TEST(ReedSolomon, MaxCorrectPolicyDowngradesToDetect)
     const auto r2 = rs.decode(cw2, 1);
     EXPECT_EQ(r2.status, DecodeStatus::Corrected);
     EXPECT_EQ(cw2, orig2);
+}
+
+// Forney's zero denominator: five symbol errors on the all-zero
+// RS(72,64) word drive Berlekamp-Massey to a locator whose derivative
+// vanishes at one of its roots. The word is Detected, reports no
+// corrected positions, and is left as it was read.
+TEST(ReedSolomon, DetectedReportsNoPositions)
+{
+    const ReedSolomon rs(72, 64);
+    std::vector<std::uint8_t> cw(72, 0);
+    cw[64] = 0x04;
+    cw[54] = 0x29;
+    cw[50] = 0xd1;
+    cw[57] = 0x16;
+    cw[11] = 0x67;
+    const auto received = cw;
+    const auto r = rs.decode(cw);
+    EXPECT_EQ(r.status, DecodeStatus::Detected);
+    EXPECT_EQ(r.numCorrected, 0u);
+    EXPECT_EQ(cw, received);
 }
 
 TEST(ReedSolomon, RejectsBadGeometry)
@@ -779,6 +809,460 @@ TEST(GoldenVectors, SscDsdDetectOnlyBeyondPolicyOnGoldenBlob)
     EXPECT_TRUE(r.uncorrectable);
     EXPECT_FALSE(r.corrected);
 }
+
+// --------------------------------------------------------------------
+// Differential: the decoder against the one it replaced
+// --------------------------------------------------------------------
+
+/** What the reference decoder reports for one codeword. */
+struct RefDecodeResult
+{
+    DecodeStatus status = DecodeStatus::Clean;
+    std::vector<unsigned> positions;
+};
+
+/** Evaluate `poly` (coefficients low-order first) at x, by Horner. */
+GF256::Elem
+refEvalPoly(const std::vector<std::uint8_t> &poly, GF256::Elem x)
+{
+    GF256::Elem acc = 0;
+    for (auto it = poly.rbegin(); it != poly.rend(); ++it)
+        acc = GF256::add(GF256::mul(acc, x), *it);
+    return acc;
+}
+
+/** S_i = c(alpha^i) by Horner; false when every syndrome is zero. */
+bool
+refSyndromes(const std::vector<std::uint8_t> &cw, unsigned two_t,
+             std::vector<std::uint8_t> &synd)
+{
+    synd.assign(two_t, 0);
+    for (const std::uint8_t c : cw) {
+        for (unsigned i = 0; i < two_t; ++i)
+            synd[i] = GF256::add(GF256::mul(synd[i], GF256::alphaPow(i)), c);
+    }
+    return std::any_of(synd.begin(), synd.end(),
+                       [](std::uint8_t v) { return v != 0; });
+}
+
+/**
+ * The textbook RS(n, k) decoder ReedSolomon::decode replaced, kept as
+ * the oracle: Horner syndromes, Berlekamp-Massey on growing vectors,
+ * Chien search over every position, Forney's algorithm, and a Horner
+ * re-verification of a corrected copy. Only a Corrected result writes
+ * `codeword`; a Detected result reports no positions.
+ */
+RefDecodeResult
+refDecode(unsigned n, unsigned k, std::vector<std::uint8_t> &codeword,
+          unsigned max_correct)
+{
+    const unsigned two_t = n - k;
+    RefDecodeResult result;
+    std::vector<std::uint8_t> synd;
+    if (!refSyndromes(codeword, two_t, synd))
+        return result;
+
+    // Berlekamp-Massey: the error locator Lambda(x).
+    std::vector<std::uint8_t> lambda{1};
+    std::vector<std::uint8_t> prev{1};
+    unsigned errors = 0;
+    unsigned shift = 1;
+    GF256::Elem prev_delta = 1;
+    for (unsigned iter = 0; iter < two_t; ++iter) {
+        GF256::Elem delta = synd[iter];
+        for (unsigned i = 1; i <= errors && i < lambda.size(); ++i)
+            delta = GF256::add(delta,
+                               GF256::mul(lambda[i], synd[iter - i]));
+        if (delta == 0) {
+            ++shift;
+            continue;
+        }
+        std::vector<std::uint8_t> candidate(lambda);
+        const GF256::Elem scale = GF256::div(delta, prev_delta);
+        if (candidate.size() < prev.size() + shift)
+            candidate.resize(prev.size() + shift, 0);
+        for (std::size_t i = 0; i < prev.size(); ++i)
+            candidate[i + shift] ^= GF256::mul(scale, prev[i]);
+        if (2 * errors <= iter) {
+            prev = std::move(lambda);
+            prev_delta = delta;
+            errors = iter + 1 - errors;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+        lambda = std::move(candidate);
+    }
+
+    const unsigned limit = std::min(max_correct, two_t / 2);
+    if (errors > limit) {
+        result.status = DecodeStatus::Detected;
+        return result;
+    }
+
+    // Omega(x) = S(x) * Lambda(x) mod x^{2t}.
+    std::vector<std::uint8_t> omega(two_t, 0);
+    for (unsigned i = 0; i < two_t; ++i) {
+        for (std::size_t j = 0; j < lambda.size() && j <= i; ++j)
+            omega[i] ^= GF256::mul(synd[i - j], lambda[j]);
+    }
+    std::vector<std::uint8_t> lambda_deriv;
+    for (std::size_t i = 1; i < lambda.size(); i += 2) {
+        lambda_deriv.resize(i, 0);
+        lambda_deriv[i - 1] = lambda[i];
+    }
+
+    // Chien search and Forney: position j has locator alpha^{n-1-j}.
+    std::vector<std::uint8_t> fixed(codeword);
+    for (unsigned j = 0; j < n; ++j) {
+        const GF256::Elem x = GF256::alphaPow(n - 1 - j);
+        const GF256::Elem x_inv = GF256::inv(x);
+        if (refEvalPoly(lambda, x_inv) != 0)
+            continue;
+        const GF256::Elem denom = refEvalPoly(lambda_deriv, x_inv);
+        if (denom == 0)
+            return {DecodeStatus::Detected, {}};
+        fixed[j] ^= GF256::mul(
+            x, GF256::div(refEvalPoly(omega, x_inv), denom));
+        result.positions.push_back(j);
+    }
+    if (result.positions.size() != errors ||
+        refSyndromes(fixed, two_t, synd))
+        return {DecodeStatus::Detected, {}};
+
+    codeword = std::move(fixed);
+    result.status = DecodeStatus::Corrected;
+    return result;
+}
+
+/** A word for the codec differential: `errors` random symbol errors
+ *  on a random codeword, or (errors == ~0u) a fully random word. */
+std::vector<std::uint8_t>
+differentialWord(const ReedSolomon &rs, Rng &rng, unsigned errors)
+{
+    if (errors == ~0u)
+        return randomData(rng, rs.n());
+    auto cw = rs.encode(randomData(rng, rs.k()));
+    std::vector<bool> hit(rs.n(), false);
+    for (unsigned e = 0; e < errors;) {
+        const auto p = static_cast<unsigned>(rng.below(rs.n()));
+        if (hit[p])
+            continue;
+        hit[p] = true;
+        cw[p] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        ++e;
+    }
+    return cw;
+}
+
+class RsDifferentialTest
+    : public ::testing::TestWithParam<std::pair<int, int>>
+{
+};
+
+// 0..t+2 symbol errors plus fully random words, each decoded with no
+// correction limit, with SSC-DSD's limit of one, and with none: status
+// and bytes must match the reference, and positions on Corrected.
+TEST_P(RsDifferentialTest, MatchesReferenceDecoder)
+{
+    const auto [n, k] = GetParam();
+    const ReedSolomon rs(n, k);
+    const unsigned kinds = rs.t() + 4; // 0..t+2 errors, random word
+    Rng rng(9000 + n);
+    unsigned outcomes[3] = {0, 0, 0};
+    for (unsigned w = 0; w < 20000; ++w) {
+        const unsigned kind = w % kinds;
+        const auto word =
+            differentialWord(rs, rng, kind + 1 == kinds ? ~0u : kind);
+        for (const unsigned max_correct : {~0u, 1u, 0u}) {
+            auto got = word;
+            auto want = word;
+            const auto r = rs.decode(got, max_correct);
+            const RefDecodeResult ref =
+                refDecode(rs.n(), rs.k(), want, max_correct);
+            ASSERT_EQ(r.status, ref.status)
+                << "RS(" << n << "," << k << ") word " << w
+                << " max_correct " << max_correct;
+            ASSERT_EQ(got, want) << "RS(" << n << "," << k << ") word "
+                                 << w << " max_correct " << max_correct;
+            if (r.status == DecodeStatus::Corrected) {
+                ASSERT_EQ(positionsOf(r), ref.positions)
+                    << "RS(" << n << "," << k << ") word " << w;
+            }
+            ++outcomes[static_cast<unsigned>(r.status)];
+        }
+    }
+    // Every outcome is exercised, so the comparison is not vacuous.
+    EXPECT_GT(outcomes[0], 0u);
+    EXPECT_GT(outcomes[1], 0u);
+    EXPECT_GT(outcomes[2], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ChipkillGeometries, RsDifferentialTest,
+    ::testing::Values(std::pair{18, 16}, std::pair{36, 32},
+                      std::pair{72, 64}, std::pair{255, 223},
+                      std::pair{20, 12}));
+
+/** Little-endian 64-bit word of the blob, as the engine reads it. */
+std::uint64_t
+refLoad64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | p[i];
+    return v;
+}
+
+/** Codeword-granular counters the reference line decoder keeps. */
+struct RefEngineStats
+{
+    std::uint64_t linesDecoded = 0;
+    std::uint64_t codewordsCorrected = 0;
+    std::uint64_t codewordsDetected = 0;
+    std::uint64_t symbolsCorrected = 0;
+};
+
+/**
+ * EccEngine::decodeLine as it was before the in-place decoder: every
+ * RS codeword gathered into a fresh vector, decoded by refDecode, and
+ * scattered back only when corrected.
+ */
+EccLineResult
+refDecodeLine(EccScheme scheme, std::vector<std::uint8_t> &blob,
+              RefEngineStats &stats)
+{
+    EccLineResult result;
+    ++stats.linesDecoded;
+    auto note = [&](DecodeStatus status, unsigned n_fixed) {
+        if (status == DecodeStatus::Corrected) {
+            result.clean = false;
+            result.corrected = true;
+            result.symbolsCorrected += n_fixed;
+            ++stats.codewordsCorrected;
+            stats.symbolsCorrected += n_fixed;
+        } else if (status == DecodeStatus::Detected) {
+            result.clean = false;
+            result.uncorrectable = true;
+            ++stats.codewordsDetected;
+        }
+    };
+    // Gather the codeword at blob offsets `at`, decode, scatter back.
+    auto decodeAt = [&](unsigned n, unsigned k,
+                        const std::vector<unsigned> &at,
+                        unsigned max_correct) {
+        std::vector<std::uint8_t> cw;
+        for (unsigned i : at)
+            cw.push_back(blob[i]);
+        const RefDecodeResult r = refDecode(n, k, cw, max_correct);
+        if (r.status == DecodeStatus::Corrected) {
+            for (std::size_t s = 0; s < at.size(); ++s)
+                blob[at[s]] = cw[s];
+        }
+        note(r.status, static_cast<unsigned>(r.positions.size()));
+    };
+
+    switch (scheme) {
+      case EccScheme::None:
+        break;
+      case EccScheme::SecDed:
+        for (unsigned j = 0; j < 8; ++j) {
+            std::uint64_t data = refLoad64(&blob[8 * j]);
+            std::uint8_t check = blob[64 + j];
+            const SecDedResult r = SecDed::decode(data, check);
+            if (r.status == SecDedResult::Status::Detected) {
+                note(DecodeStatus::Detected, 0);
+            } else if (r.status != SecDedResult::Status::Clean) {
+                for (unsigned b = 0; b < 8; ++b)
+                    blob[8 * j + b] =
+                        static_cast<std::uint8_t>(data >> (8 * b));
+                blob[64 + j] = check;
+                note(DecodeStatus::Corrected, 1);
+            }
+        }
+        break;
+      case EccScheme::Bamboo72: {
+        std::vector<unsigned> at(72);
+        for (unsigned s = 0; s < 72; ++s)
+            at[s] = s;
+        decodeAt(72, 64, at, ~0u);
+        break;
+      }
+      case EccScheme::Ssc:
+        for (unsigned j = 0; j < 4; ++j) {
+            std::vector<unsigned> at;
+            for (unsigned s = 0; s < 16; ++s)
+                at.push_back(16 * j + s);
+            at.push_back(64 + 2 * j);
+            at.push_back(64 + 2 * j + 1);
+            decodeAt(18, 16, at, ~0u);
+        }
+        break;
+      case EccScheme::SscDsd:
+        for (unsigned j = 0; j < 2; ++j) {
+            std::vector<unsigned> at;
+            for (unsigned s = 0; s < 32; ++s)
+                at.push_back(32 * j + s);
+            for (unsigned p = 0; p < 4; ++p)
+                at.push_back(64 + 4 * j + p);
+            decodeAt(36, 32, at, 1);
+        }
+        break;
+      case EccScheme::Ssc32:
+        for (unsigned j = 0; j < 2; ++j) {
+            for (unsigned i = 0; i < 2; ++i) {
+                std::vector<unsigned> at;
+                for (unsigned s = 0; s < 16; ++s)
+                    at.push_back(32 * j + 2 * s + i);
+                at.push_back(64 + 4 * j + i);
+                at.push_back(64 + 4 * j + 2 + i);
+                decodeAt(18, 16, at, ~0u);
+            }
+        }
+        break;
+    }
+    return result;
+}
+
+/**
+ * The blob bits a chip drives, as the engine enumerated them before it
+ * stopped building the list: x4 nibbles per 72-bit word for SEC-DED
+ * (and the unprotected layout), whole symbol bytes for the RS schemes.
+ */
+std::vector<std::size_t>
+refChipBits(EccScheme scheme, unsigned chip)
+{
+    std::vector<std::size_t> bytes;
+    std::vector<std::size_t> bits;
+    switch (scheme) {
+      case EccScheme::None:
+      case EccScheme::SecDed:
+        for (unsigned j = 0; j < 8; ++j) {
+            for (unsigned b = 0; b < 4; ++b) {
+                if (chip < 16)
+                    bits.push_back(64 * j + 4 * chip + b);
+                else
+                    bits.push_back(8 * (64 + j) + 4 * (chip - 16) + b);
+            }
+        }
+        return bits;
+      case EccScheme::Ssc:
+      case EccScheme::Bamboo72:
+        for (unsigned j = 0; j < 4; ++j)
+            bytes.push_back(chip < 16 ? 16 * j + chip
+                                      : 64 + 2 * j + (chip - 16));
+        break;
+      case EccScheme::SscDsd:
+        for (unsigned j = 0; j < 2; ++j)
+            bytes.push_back(chip < 32 ? 32 * j + chip
+                                      : 64 + 4 * j + (chip - 32));
+        break;
+      case EccScheme::Ssc32:
+        for (unsigned j = 0; j < 2; ++j) {
+            const std::size_t at = chip < 16 ? 32 * j + 2 * chip
+                                             : 64 + 4 * j + 2 * (chip - 16);
+            bytes.push_back(at);
+            bytes.push_back(at + 1);
+        }
+        break;
+    }
+    for (std::size_t byte : bytes) {
+        for (unsigned b = 0; b < 8; ++b)
+            bits.push_back(8 * byte + b);
+    }
+    return bits;
+}
+
+class EccEngineDifferentialTest : public ::testing::TestWithParam<EccScheme>
+{
+};
+
+// Every single-chip kill and random bit flips (alone and on top of a
+// dead chip) on random lines: the chip corruption must flip the bits
+// the chip drives, and decodeLine must match the reference line
+// decoder in its result, its blob bytes, and its per-scheme counters.
+TEST_P(EccEngineDifferentialTest, DecodeLineMatchesReference)
+{
+    const EccScheme scheme = GetParam();
+    const EccEngine engine(scheme);
+    RefEngineStats ref_stats;
+    Rng rng(4242 + static_cast<unsigned>(scheme));
+    const std::size_t blob_bits =
+        8 * (kCachelineBytes + engine.parityBytesPerLine());
+
+    auto check = [&](std::vector<std::uint8_t> blob,
+                     const std::string &what) {
+        auto want = blob;
+        const EccLineResult r = engine.decodeLine(blob);
+        const EccLineResult ref = refDecodeLine(scheme, want, ref_stats);
+        ASSERT_EQ(r.clean, ref.clean) << what;
+        ASSERT_EQ(r.corrected, ref.corrected) << what;
+        ASSERT_EQ(r.uncorrectable, ref.uncorrectable) << what;
+        ASSERT_EQ(r.symbolsCorrected, ref.symbolsCorrected) << what;
+        ASSERT_EQ(blob, want) << what;
+    };
+
+    for (unsigned line_no = 0; line_no < 48; ++line_no) {
+        const auto pristine = engine.encodeLine(randomLine(rng));
+        for (unsigned chip = 0; chip < engine.numChips(); ++chip) {
+            const std::string what =
+                eccSchemeName(scheme) + " line " +
+                std::to_string(line_no) + " chip " + std::to_string(chip);
+            auto killed = pristine;
+            engine.corruptChip(killed, chip);
+            auto want = pristine;
+            for (std::size_t bit : refChipBits(scheme, chip))
+                EccEngine::flipBit(want, bit);
+            ASSERT_EQ(killed, want) << what;
+            check(killed, what);
+
+            // A partial fault draws bits of the same chip: same RNG
+            // stream, same bits as drawing from the reference list.
+            auto partial = pristine;
+            auto partial_want = pristine;
+            Rng draw(line_no * 64 + chip);
+            Rng ref_draw(line_no * 64 + chip);
+            engine.corruptChipBits(partial, chip, 3, draw);
+            const auto bits = refChipBits(scheme, chip);
+            for (unsigned i = 0; i < 3; ++i)
+                EccEngine::flipBit(partial_want,
+                                   bits[ref_draw.below(bits.size())]);
+            ASSERT_EQ(partial, partial_want) << what;
+            check(partial, what + " partial");
+
+            // The dead chip plus one flip elsewhere in the line.
+            EccEngine::flipBit(killed, rng.below(blob_bits));
+            check(killed, what + " + flip");
+        }
+        for (unsigned trial = 0; trial < 32; ++trial) {
+            auto flipped = pristine;
+            const unsigned flips = 1 + trial % 4;
+            for (unsigned f = 0; f < flips; ++f)
+                EccEngine::flipBit(flipped, rng.below(blob_bits));
+            check(flipped, eccSchemeName(scheme) + " flips " +
+                               std::to_string(trial));
+        }
+    }
+
+    EXPECT_EQ(engine.stats().linesDecoded.value(), ref_stats.linesDecoded);
+    EXPECT_EQ(engine.stats().codewordsCorrected.value(),
+              ref_stats.codewordsCorrected);
+    EXPECT_EQ(engine.stats().codewordsDetected.value(),
+              ref_stats.codewordsDetected);
+    EXPECT_EQ(engine.stats().symbolsCorrected.value(),
+              ref_stats.symbolsCorrected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, EccEngineDifferentialTest,
+    ::testing::Values(EccScheme::None, EccScheme::SecDed, EccScheme::Ssc,
+                      EccScheme::SscDsd, EccScheme::Ssc32,
+                      EccScheme::Bamboo72),
+    [](const auto &info) {
+        std::string name = eccSchemeName(info.param);
+        std::erase(name, '-');
+        return name;
+    });
 
 } // namespace
 } // namespace sam

@@ -3,10 +3,11 @@
  * RAS pipeline tests: live fault injection, demand scrubbing, bounded
  * re-read retry, leaky-bucket line retirement, poison propagation, and
  * graceful query degradation. The headline acceptance scenario is a
- * chipkill firing mid-query: chipkill-capable schemes (SSC, SSC-DSD)
- * must complete with exact results plus nonzero scrub traffic, while
- * SEC-DED must fail *loudly* -- poisoned rows flagged in the query
- * result, never silent corruption.
+ * chipkill firing mid-query: chipkill-capable schemes (SSC, SSC-DSD,
+ * SSC-32, Bamboo-72) must complete with exact results plus nonzero
+ * scrub traffic on every design that runs them, while SEC-DED must
+ * fail *loudly* -- poisoned rows flagged in the query result, never
+ * silent corruption.
  */
 
 #include <gtest/gtest.h>
@@ -150,60 +151,132 @@ TEST(FaultInjection, TransientTargetsOverPaddingArePinned)
 // Chipkill mid-query under chipkill-capable ECC: corrected + scrubbed
 // --------------------------------------------------------------------
 
+/**
+ * One chip-tolerant (design, scheme) pair under the mid-query kill,
+ * with the counters recorded from the decoder this suite guards.
+ */
+struct ChipkillPin
+{
+    DesignKind design;
+    EccScheme scheme;
+    Cycle cycles;
+    std::uint64_t correctedLines;
+    std::uint64_t scrubWritebacks;
+};
+
+// Every design that honours cfg.ecc x every chip-tolerant scheme.
+// Bamboo-72 corrects four symbols per line, so its rows are the only
+// System runs that reach Berlekamp-Massey.
+// {design, scheme, cycles, correctedLines, scrubWritebacks}
+const ChipkillPin kChipkillPins[] = {
+    {DesignKind::Baseline, EccScheme::Ssc, 14130, 1014, 1014},
+    {DesignKind::Baseline, EccScheme::SscDsd, 14148, 1014, 1014},
+    {DesignKind::Baseline, EccScheme::Ssc32, 14120, 1014, 1014},
+    {DesignKind::Baseline, EccScheme::Bamboo72, 14130, 1014, 1014},
+    {DesignKind::RcNvmBit, EccScheme::Ssc, 331805, 1672, 1672},
+    {DesignKind::RcNvmBit, EccScheme::SscDsd, 376560, 1912, 1912},
+    {DesignKind::RcNvmBit, EccScheme::Ssc32, 287468, 1432, 1432},
+    {DesignKind::RcNvmBit, EccScheme::Bamboo72, 331805, 1672, 1672},
+    {DesignKind::RcNvmWord, EccScheme::Ssc, 379679, 1672, 1672},
+    {DesignKind::RcNvmWord, EccScheme::SscDsd, 431849, 1912, 1912},
+    {DesignKind::RcNvmWord, EccScheme::Ssc32, 327399, 1432, 1432},
+    {DesignKind::RcNvmWord, EccScheme::Bamboo72, 379679, 1672, 1672},
+    {DesignKind::SamSub, EccScheme::Ssc, 129392, 1672, 1672},
+    {DesignKind::SamSub, EccScheme::SscDsd, 145974, 1912, 1912},
+    {DesignKind::SamSub, EccScheme::Ssc32, 113379, 1432, 1432},
+    {DesignKind::SamSub, EccScheme::Bamboo72, 129392, 1672, 1672},
+    {DesignKind::SamIo, EccScheme::Ssc, 13979, 1672, 1672},
+    {DesignKind::SamIo, EccScheme::SscDsd, 14428, 1904, 1904},
+    {DesignKind::SamIo, EccScheme::Ssc32, 10414, 1008, 1008},
+    {DesignKind::SamIo, EccScheme::Bamboo72, 13979, 1672, 1672},
+    {DesignKind::SamEn, EccScheme::Ssc, 14015, 1672, 1672},
+    {DesignKind::SamEn, EccScheme::SscDsd, 14178, 1904, 1904},
+    {DesignKind::SamEn, EccScheme::Ssc32, 10414, 1008, 1008},
+    {DesignKind::SamEn, EccScheme::Bamboo72, 14015, 1672, 1672},
+    {DesignKind::Ideal, EccScheme::Ssc, 3303, 241, 241},
+    {DesignKind::Ideal, EccScheme::SscDsd, 3303, 241, 241},
+    {DesignKind::Ideal, EccScheme::Ssc32, 3303, 241, 241},
+    {DesignKind::Ideal, EccScheme::Bamboo72, 3303, 241, 241},
+};
+
+/** Kills chip 5 mid-query under one scheme, on every design above. */
 class ChipkillCapableTest : public ::testing::TestWithParam<EccScheme>
 {
 };
 
 TEST_P(ChipkillCapableTest, MidQueryKillIsCorrectedAndScrubbed)
 {
-    SimConfig cfg = smallConfig();
-    cfg.design = DesignKind::SamEn;
-    cfg.ecc = GetParam();
     const Query q3 = benchmarkQQueries()[2];
+    unsigned designs = 0;
+    for (const ChipkillPin &pin : kChipkillPins) {
+        if (pin.scheme != GetParam())
+            continue;
+        ++designs;
+        SCOPED_TRACE(designName(pin.design) + " " +
+                     eccSchemeName(pin.scheme));
+        SimConfig cfg = smallConfig();
+        cfg.design = pin.design;
+        cfg.ecc = pin.scheme;
 
-    // Clean reference run: same system, no fault source.
-    System clean(cfg);
-    const RunStats base = clean.runQuery(q3);
+        // Clean reference run: same system, no fault source.
+        System clean(cfg);
+        const RunStats base = clean.runQuery(q3);
 
-    // The phase-1 functional clock at this table scale spans a few
-    // hundred cycles, so cycle 50 lands mid-query: reads before it
-    // are clean, everything after sees the dead chip.
-    cfg.faults.model = FaultModel::Chipkill;
-    cfg.faults.chipkillAt = 50;
-    cfg.faults.chipkillChip = 5;
-    System sys(cfg);
-    const RunStats r = sys.runQuery(q3);
+        // The phase-1 functional clock at this table scale spans a few
+        // hundred cycles, so cycle 50 lands mid-query: reads before it
+        // are clean, everything after sees the dead chip.
+        cfg.faults.model = FaultModel::Chipkill;
+        cfg.faults.chipkillAt = 50;
+        cfg.faults.chipkillChip = 5;
+        System sys(cfg);
+        const RunStats r = sys.runQuery(q3);
 
-    ASSERT_NE(sys.injector(), nullptr);
-    EXPECT_TRUE(sys.injector()->chipkillFired());
-    EXPECT_EQ(sys.injector()->stats().chipKills.value(), 1u);
+        ASSERT_NE(sys.injector(), nullptr);
+        EXPECT_TRUE(sys.injector()->chipkillFired());
+        EXPECT_EQ(sys.injector()->stats().chipKills.value(), 1u);
 
-    // Exact results, zero silent corruption, zero poison: the dead
-    // chip is reconstructed on every read.
-    EXPECT_TRUE(r.result ==
-                referenceResult(q3, sys.taSchema(), sys.tbSchema()))
-        << eccSchemeName(GetParam());
-    EXPECT_EQ(r.result.poisonedRows, 0u);
-    EXPECT_EQ(r.poisonedReads, 0u);
-    EXPECT_EQ(r.eccUncorrectable, 0u);
-    EXPECT_GT(r.eccCorrectedLines, 0u);
+        // Exact results, zero silent corruption, zero poison: the dead
+        // chip is reconstructed on every read.
+        EXPECT_TRUE(r.result ==
+                    referenceResult(q3, sys.taSchema(), sys.tbSchema()));
+        EXPECT_EQ(r.result.poisonedRows, 0u);
+        EXPECT_EQ(r.poisonedReads, 0u);
+        EXPECT_EQ(r.eccUncorrectable, 0u);
+        EXPECT_GT(r.eccCorrectedLines, 0u);
 
-    // Demand scrubbing is live and costs real write bandwidth in the
-    // timed replay.
-    EXPECT_GT(r.scrubWritebacks, 0u);
-    EXPECT_GT(r.memWrites, base.memWrites);
+        // Demand scrubbing is live and costs real write bandwidth in
+        // the timed replay.
+        EXPECT_GT(r.scrubWritebacks, 0u);
+        EXPECT_GT(r.memWrites, base.memWrites);
+
+        // The decoder's outcomes, pinned: a change to correction moves
+        // the corrected and scrubbed counts, and with them the cycles.
+        const bool pinned = r.cycles == pin.cycles &&
+                            r.eccCorrectedLines == pin.correctedLines &&
+                            r.scrubWritebacks == pin.scrubWritebacks;
+        EXPECT_TRUE(pinned) << "diverged from its pin; actual {"
+                            << r.cycles << ", " << r.eccCorrectedLines
+                            << ", " << r.scrubWritebacks << "}";
+    }
+    EXPECT_EQ(designs, 7u);
+}
+
+std::string
+schemeTestName(const ::testing::TestParamInfo<EccScheme> &info)
+{
+    std::string name = eccSchemeName(info.param);
+    name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(SscSchemes, ChipkillCapableTest,
                          ::testing::Values(EccScheme::Ssc,
                                            EccScheme::SscDsd),
-                         [](const auto &info) {
-                             std::string name = eccSchemeName(info.param);
-                             name.erase(std::remove(name.begin(),
-                                                    name.end(), '-'),
-                                        name.end());
-                             return name;
-                         });
+                         schemeTestName);
+INSTANTIATE_TEST_SUITE_P(VariantSchemes, ChipkillCapableTest,
+                         ::testing::Values(EccScheme::Ssc32,
+                                           EccScheme::Bamboo72),
+                         schemeTestName);
 
 // --------------------------------------------------------------------
 // Same chipkill under SEC-DED: poisoned, degraded, never silent

@@ -5,8 +5,8 @@
  * command trace captured, and the run's end cycle, command count, and
  * a digest of the whole command stream must equal the values recorded
  * in kPins. A chipkill run covers the RAS read path, a transient-fault
- * run covers an armed injector, and telemetry on vs off is pinned
- * cycle-identical.
+ * run covers reads that correct stored flips, and telemetry on vs off
+ * is pinned cycle-identical.
  *
  * A failing case names its design and query and prints the actual row
  * in kPins syntax. A deliberate timing-model change re-records the
@@ -314,7 +314,7 @@ const Pin kPins[] = {
     {"ideal", "Qs5", {15581, 2064, 0x1de2c3541b13d641ull}},
     {"ideal", "Qs6", {4191, 516, 0x1e1ebbc46940a43dull}},
     {"SAM-en", "Q3 chipkill@50", {14178, 2529, 0x38f325c39be74278ull}},
-    {"GS-DRAM-ecc", "Q1 transient", {3391, 828, 0x6acd1a7257c08f95ull}},
+    {"SAM-en", "Q1 transient@1e5", {2003, 602, 0x0e615bde6d3f10bdull}},
 };
 
 void
@@ -389,14 +389,16 @@ TEST(ReplayGoldenFaults, ChipkillAtCycle50MatchesPin)
 
 TEST(ReplayGoldenFaults, TransientFaultsMatchPin)
 {
-    // At the default 10 flips per Mcycle this ~3.4k-cycle run plants
-    // no flip, so its pin equals the fault-free GS-DRAM-ecc Q1 row: an
-    // armed injector that fires nothing must leave the stream alone.
+    // 1e5 flips per Mcycle lands stored flips inside this short run on
+    // an ECC-protected design, so the pin covers reads that decode a
+    // flipped line, not just an armed injector that fires nothing.
     SimConfig cfg = smallConfig();
-    cfg.design = DesignKind::GsDramEcc;
+    cfg.design = DesignKind::SamEn;
     cfg.faults.model = FaultModel::Transient;
+    cfg.faults.fitPerMcycle = 1e5;
     const RunStats rs = runTraced(cfg, benchmarkQQueries()[0]);
-    expectPinned("GS-DRAM-ecc", "Q1 transient", rs);
+    expectPinned("SAM-en", "Q1 transient@1e5", rs);
+    EXPECT_GT(rs.eccCorrectedLines + rs.eccUncorrectable, 0u);
 }
 
 // --------------------------------------------------------------------

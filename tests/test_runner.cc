@@ -330,7 +330,6 @@ TEST(TableCacheTest, ColdBuildBytesIdenticalAtAnyThreadCount)
         ASSERT_EQ(a->size(), b->size()) << name;
         EXPECT_EQ(a->blobBytes, b->blobBytes) << name;
         EXPECT_EQ(a->addrs, b->addrs) << name;
-        EXPECT_EQ(a->clean, b->clean) << name;
         EXPECT_EQ(a->arena, b->arena) << name;
         for (std::size_t slot = 0; slot < a->size(); ++slot) {
             ASSERT_EQ(std::memcmp(a->blob(slot), b->blob(slot),

@@ -469,8 +469,9 @@ checkCodecConstruction(const SourceFile &f, Emit out)
                  "CodecRegistry::reedSolomon(n, k) "
                  "(src/ecc/codec_registry.hh)");
         } else if (s == "GF256") {
-            // GF256::mul(...) etc. is fine (tables are a function-local
-            // static); `GF256 gf;` would build a private instance.
+            // GF256::mul(...) etc. is fine (its tables are shared
+            // compile-time constants); `GF256 gf;` declares an instance
+            // of an all-static class.
             const std::string &next = tok(f, i + 1);
             if (next == ":" || next == "&" || next == "*")
                 continue;
@@ -479,8 +480,8 @@ checkCodecConstruction(const SourceFile &f, Emit out)
                 continue;
             emit(out, f, t[i].line, kCodec,
                  "GF256 instance declaration; use the shared "
-                 "function-local-static tables through GF256's "
-                 "static interface");
+                 "compile-time tables through GF256's static "
+                 "interface");
         }
     }
 }

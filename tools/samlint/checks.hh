@@ -37,7 +37,7 @@
  *   immutable codec with CodecRegistry::reedSolomon(n, k) instead.
  *   Reference/pointer uses and forward declarations are fine. GF256
  *   instance declarations are flagged the same way (its tables are
- *   already a shared function-local static).
+ *   already shared compile-time constants).
  *
  * All checks honor // NOLINT(check) and // NOLINTNEXTLINE(check).
  */
