@@ -216,8 +216,8 @@ ProtocolChecker::checkAct(BankCheck &bank, RankCheck &rank,
 }
 
 void
-ProtocolChecker::checkPre(BankCheck &bank, const Command &cmd,
-                          std::size_t index)
+ProtocolChecker::checkPre(BankCheck &bank, RankCheck &rank,
+                          const Command &cmd, std::size_t index)
 {
     if (!bank.open) {
         flag("bank-state", cmd, index, "PRE to a closed bank");
@@ -247,6 +247,8 @@ ProtocolChecker::checkPre(BankCheck &bank, const Command &cmd,
     bank.open = false;
     bank.hasPre = true;
     bank.lastPre = cmd.at;
+    rank.hasPre = true;
+    rank.lastPre = cmd.at;
 }
 
 void
@@ -381,6 +383,14 @@ ProtocolChecker::checkRef(RankCheck &rank, const Command &cmd,
                  " cycles after REF @" + std::to_string(rank.refStart) +
                  ", need " + std::to_string(timing_.tRFC));
     }
+    // Every bank of the rank must have finished precharging.
+    if (rank.hasPre && cmd.at < rank.lastPre + timing_.tRP) {
+        flag("tRP", cmd, index,
+             "only " + gapStr(cmd.at, rank.lastPre) +
+                 " cycles after rank PRE @" +
+                 std::to_string(rank.lastPre) + ", need " +
+                 std::to_string(timing_.tRP));
+    }
     // DDR4 allows postponing up to 8 refresh commands; past that the
     // device would lose data. The k-th refresh is nominally due at
     // (k+1) * tREFI.
@@ -497,7 +507,7 @@ ProtocolChecker::run()
             if (cmd.kind == CmdKind::Act) {
                 checkAct(bank, rank, cmd, i);
             } else if (cmd.kind == CmdKind::Pre) {
-                checkPre(bank, cmd, i);
+                checkPre(bank, rank, cmd, i);
             } else {
                 checkCas(bank, rank, cmd, i);
                 Burst b;

@@ -6,10 +6,13 @@
  * (ACT/PRE/RD/WR/REF plus SAM I/O mode switches) and re-derives the
  * legality of every command from TimingParams with its own per-bank /
  * per-rank / per-channel state machines. It deliberately shares no
- * scheduling code with Device: the engine reserves resources forward in
- * time, the checker replays the finished stream in wall-clock order and
- * checks pairwise constraints backward -- so a bug in the engine's
- * reservation logic cannot hide itself from the oracle.
+ * scheduling code with Device: the engine issues each command at the
+ * earliest cycle the timing rule table (src/dram/timing_rules) allows,
+ * computed forward at commit; the checker replays the finished stream
+ * in wall-clock order and checks each constraint backward, hand-coded
+ * -- so a wrong rule in the table, or a bug in the engine's policy,
+ * cannot hide itself from the oracle. samverify proves the table and
+ * this checker agree over bounded command sequences.
  *
  * Wall-clock order is (cycle, kind priority, observation order): the
  * checker sorts one 16-byte key per observed command and walks the
@@ -19,7 +22,7 @@
  * Checked constraints:
  *  - bank state machine: no CAS to a closed bank or to the wrong row,
  *    no double ACT, ACT only tRP after PRE, REF only with every bank of
- *    the rank precharged;
+ *    the rank precharged and tRP after the rank's last PRE;
  *  - bank timing: tRCD, tRAS, tRC, tWR, tRTP;
  *  - rank timing: tRRD_S/L, the 4-deep tFAW sliding window, tCCD_S/L,
  *    tWTR_S/L, refresh blackout (tRFC) and the tREFI postponement
@@ -123,9 +126,11 @@ class ProtocolChecker
 
     struct RankCheck
     {
-        bool hasAct = false, hasCas = false, hasWr = false,
-             hasRd = false, hasSwitch = false, hasRef = false;
+        bool hasAct = false, hasPre = false, hasCas = false,
+             hasWr = false, hasRd = false, hasSwitch = false,
+             hasRef = false;
         Cycle lastAct = 0;
+        Cycle lastPre = 0; ///< REF waits tRP after the rank's last PRE.
         Cycle lastCas = 0;
         Cycle lastWrEnd = 0; ///< tWTR_S.
         std::vector<Cycle> groupLastAct;   ///< tRRD_L.
@@ -168,7 +173,7 @@ class ProtocolChecker
                               std::size_t index);
     void checkAct(BankCheck &bank, RankCheck &rank, const Command &cmd,
                   std::size_t index);
-    void checkPre(BankCheck &bank, const Command &cmd,
+    void checkPre(BankCheck &bank, RankCheck &rank, const Command &cmd,
                   std::size_t index);
     void checkCas(BankCheck &bank, RankCheck &rank, const Command &cmd,
                   std::size_t index);

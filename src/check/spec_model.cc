@@ -11,202 +11,11 @@
 
 namespace sam {
 
-namespace {
-
-constexpr unsigned
-kindIx(CmdKind kind)
-{
-    return static_cast<unsigned>(kind);
-}
-
-const char *
-specKindName(CmdKind kind)
-{
-    switch (kind) {
-      case CmdKind::Act:        return "ACT";
-      case CmdKind::Pre:        return "PRE";
-      case CmdKind::Rd:         return "RD";
-      case CmdKind::Wr:         return "WR";
-      case CmdKind::Ref:        return "REF";
-      case CmdKind::ModeSwitch: return "MSW";
-    }
-    panic("unknown CmdKind");
-}
-
-const char *
-scopeName(SpecScope scope)
-{
-    switch (scope) {
-      case SpecScope::Bank:      return "bank";
-      case SpecScope::BankGroup: return "group";
-      case SpecScope::Rank:      return "rank";
-      case SpecScope::Channel:   return "channel";
-    }
-    panic("unknown SpecScope");
-}
-
-const char *
-relName(SpecRankRel rel)
-{
-    switch (rel) {
-      case SpecRankRel::Any:  return "any";
-      case SpecRankRel::Same: return "same";
-      case SpecRankRel::Diff: return "diff";
-    }
-    panic("unknown SpecRankRel");
-}
-
-} // namespace
-
-std::vector<SpecRule>
-specRuleTable(const TimingParams &t)
-{
-    std::vector<SpecRule> rules;
-    const auto add = [&rules](CmdKind prev, CmdKind next, SpecScope scope,
-                              SpecRankRel rel, long long gap,
-                              const char *name) {
-        // A non-positive issue gap can never bind (history is always at
-        // or before the issue floor), so the rule is dropped.
-        if (gap <= 0)
-            return;
-        SpecRule r;
-        r.prev = prev;
-        r.next = next;
-        r.scope = scope;
-        r.rankRel = rel;
-        r.gap = static_cast<unsigned>(gap);
-        r.name = name;
-        rules.push_back(std::move(r));
-    };
-    const auto any = SpecRankRel::Any;
-
-    // Bank state machine timings.
-    add(CmdKind::Pre, CmdKind::Act, SpecScope::Bank, any, t.tRP, "tRP");
-    add(CmdKind::Act, CmdKind::Act, SpecScope::Bank, any,
-        static_cast<long long>(t.tRC()), "tRC");
-    add(CmdKind::Act, CmdKind::Pre, SpecScope::Bank, any, t.tRAS,
-        "tRAS");
-    add(CmdKind::Rd, CmdKind::Pre, SpecScope::Bank, any, t.tRTP,
-        "tRTP");
-    // tWR counts from write-data end; fold the CAS-to-data-end offset
-    // into an issue-to-issue gap.
-    add(CmdKind::Wr, CmdKind::Pre, SpecScope::Bank, any,
-        static_cast<long long>(t.cwl) + t.tBL + t.tWR, "tWR");
-    add(CmdKind::Act, CmdKind::Rd, SpecScope::Bank, any, t.tRCD,
-        "tRCD");
-    add(CmdKind::Act, CmdKind::Wr, SpecScope::Bank, any, t.tRCD,
-        "tRCD");
-
-    // Activate spacing.
-    add(CmdKind::Act, CmdKind::Act, SpecScope::Rank, any, t.tRRD_S,
-        "tRRD_S");
-    add(CmdKind::Act, CmdKind::Act, SpecScope::BankGroup, any,
-        t.tRRD_L, "tRRD_L");
-
-    // CAS spacing.
-    const CmdKind cas[2] = {CmdKind::Rd, CmdKind::Wr};
-    for (CmdKind prev : cas)
-        for (CmdKind next : cas)
-            add(prev, next, SpecScope::Rank, any, t.tCCD_S, "tCCD_S");
-    for (CmdKind prev : cas)
-        for (CmdKind next : cas)
-            add(prev, next, SpecScope::BankGroup, any, t.tCCD_L,
-                "tCCD_L");
-
-    // Write-to-read turnaround (from write-data end).
-    add(CmdKind::Wr, CmdKind::Rd, SpecScope::Rank, any,
-        static_cast<long long>(t.cwl) + t.tBL + t.tWTR_S, "tWTR_S");
-    add(CmdKind::Wr, CmdKind::Rd, SpecScope::BankGroup, any,
-        static_cast<long long>(t.cwl) + t.tBL + t.tWTR_L, "tWTR_L");
-
-    // SAM I/O mode pipeline (Section 5.3): tRTR after a switch, and a
-    // switch must issue strictly after the rank's last CAS.
-    add(CmdKind::ModeSwitch, CmdKind::Rd, SpecScope::Rank, any, t.tRTR,
-        "tRTR(mode)");
-    add(CmdKind::ModeSwitch, CmdKind::Wr, SpecScope::Rank, any, t.tRTR,
-        "tRTR(mode)");
-    add(CmdKind::ModeSwitch, CmdKind::ModeSwitch, SpecScope::Rank, any,
-        t.tRTR, "tRTR(mode)");
-    add(CmdKind::Rd, CmdKind::ModeSwitch, SpecScope::Rank, any, 1,
-        "mode-state");
-    add(CmdKind::Wr, CmdKind::ModeSwitch, SpecScope::Rank, any, 1,
-        "mode-state");
-
-    // Refresh blackout: nothing else on the rank for tRFC. The checker
-    // does not black out PRE (the engine precharges before REF), so the
-    // spec must not either.
-    if (t.tRFC > 0) {
-        const CmdKind blocked[5] = {CmdKind::Ref, CmdKind::Act,
-                                    CmdKind::Rd, CmdKind::Wr,
-                                    CmdKind::ModeSwitch};
-        for (CmdKind next : blocked)
-            add(CmdKind::Ref, next, SpecScope::Rank, any, t.tRFC,
-                "tRFC");
-        // The blackout also reaches *backward* across a same-cycle
-        // tie: REF sorts before an equal-time CAS or mode switch, so a
-        // REF issued in the same cycle retroactively swallows it. REF
-        // must serialize strictly after them.
-        const CmdKind tied[3] = {CmdKind::Rd, CmdKind::Wr,
-                                 CmdKind::ModeSwitch};
-        for (CmdKind prev : tied)
-            add(prev, CmdKind::Ref, SpecScope::Rank, any, 1, "tRFC");
-    }
-
-    // Data bus occupancy, expressed as issue-to-issue gaps: a burst
-    // occupies [issue + offset, issue + offset + tBL) where the offset
-    // is CL for reads and CWL for writes. Rank handovers add a tRTR
-    // bubble; write data behind read data on the same rank needs the
-    // 2-cycle turnaround bubble.
-    const auto off = [&t](CmdKind k) -> long long {
-        return k == CmdKind::Wr ? t.cwl : t.cl;
-    };
-    for (CmdKind prev : cas) {
-        for (CmdKind next : cas) {
-            const long long gap = off(prev) + t.tBL - off(next);
-            add(prev, next, SpecScope::Channel, SpecRankRel::Same, gap,
-                "bus-overlap");
-            if (prev == CmdKind::Rd && next == CmdKind::Wr)
-                add(prev, next, SpecScope::Channel, SpecRankRel::Same,
-                    gap + 2, "rd-wr-turnaround");
-            add(prev, next, SpecScope::Channel, SpecRankRel::Diff,
-                gap + t.tRTR, "tRTR(bus)");
-        }
-    }
-    return rules;
-}
-
-std::string
-describeRuleTable(const TimingParams &t)
-{
-    std::ostringstream oss;
-    for (const SpecRule &r : specRuleTable(t)) {
-        oss << specKindName(r.prev) << "->" << specKindName(r.next)
-            << " " << scopeName(r.scope) << " " << relName(r.rankRel)
-            << " gap=" << r.gap << " " << r.name << "\n";
-    }
-    oss << "# tFAW: 5th ACT >= oldest-of-last-4-ACTs + " << t.tFAW
-        << " (rank window)\n";
-    oss << "# state: ACT needs bank closed; PRE needs bank open; RD/WR"
-           " need open row and matching mode; REF needs all banks in"
-           " rank closed\n";
-    if (t.tREFI == 0)
-        oss << "# refresh: REF illegal (tREFI=0)\n";
-    else
-        oss << "# refresh: k-th REF due by (k+9)*" << t.tREFI
-            << " (tREFI, 8 postponements)\n";
-    return oss.str();
-}
-
 SpecModel::SpecModel(const Geometry &geom, const TimingParams &timing)
-    : geom_(geom), timing_(timing), rules_(specRuleTable(timing))
+    : geom_(geom), timing_(timing), rules_(geom, timing)
 {
-    for (const SpecRule &r : rules_)
-        horizon_ = std::max<Cycle>(horizon_, r.gap);
-    horizon_ = std::max<Cycle>(horizon_, timing_.tFAW) + 1;
     banks_.resize(static_cast<std::size_t>(geom_.channels) *
                   geom_.ranks * geom_.banksPerRank());
-    groups_.resize(static_cast<std::size_t>(geom_.channels) *
-                   geom_.ranks * geom_.bankGroups);
     ranks_.resize(static_cast<std::size_t>(geom_.channels) *
                   geom_.ranks);
 }
@@ -218,23 +27,10 @@ SpecModel::rankId(unsigned ch, unsigned rk) const
 }
 
 std::size_t
-SpecModel::groupId(const MappedAddr &a) const
-{
-    return rankId(a.channel, a.rank) * geom_.bankGroups + a.bankGroup;
-}
-
-std::size_t
 SpecModel::bankId(const MappedAddr &a) const
 {
     return rankId(a.channel, a.rank) * geom_.banksPerRank() +
            a.bankInRank(geom_);
-}
-
-bool
-SpecModel::bankKind(CmdKind kind)
-{
-    return kind == CmdKind::Act || kind == CmdKind::Pre ||
-           kind == CmdKind::Rd || kind == CmdKind::Wr;
 }
 
 bool
@@ -268,73 +64,17 @@ SpecModel::stateLegal(const Cand &c) const
     panic("unknown CmdKind");
 }
 
-template <typename Fn>
-void
-SpecModel::forEachBound(const Cand &c, Fn fn) const
-{
-    for (std::size_t i = 0; i < rules_.size(); ++i) {
-        const SpecRule &r = rules_[i];
-        if (r.next != c.kind)
-            continue;
-        const auto visit = [&](const KindTimes &t) {
-            const unsigned p = kindIx(r.prev);
-            if (t.has[p])
-                fn(i, t.last[p] + r.gap);
-        };
-        switch (r.scope) {
-          case SpecScope::Bank:
-            visit(banks_[bankId(c.addr)].t);
-            break;
-          case SpecScope::BankGroup:
-            visit(groups_[groupId(c.addr)].t);
-            break;
-          case SpecScope::Rank:
-            visit(ranks_[rankId(c.addr.channel, c.addr.rank)].t);
-            break;
-          case SpecScope::Channel:
-            for (unsigned rk = 0; rk < geom_.ranks; ++rk) {
-                if (r.rankRel == SpecRankRel::Same &&
-                    rk != c.addr.rank)
-                    continue;
-                if (r.rankRel == SpecRankRel::Diff &&
-                    rk == c.addr.rank)
-                    continue;
-                visit(ranks_[rankId(c.addr.channel, rk)].t);
-            }
-            break;
-        }
-    }
-    if (c.kind == CmdKind::Act) {
-        const RankS &rank = ranks_[rankId(c.addr.channel, c.addr.rank)];
-        if (rank.actWindow.size() >= 4)
-            fn(rules_.size(), rank.actWindow.front() + timing_.tFAW);
-    }
-}
-
 Cycle
 SpecModel::earliestLegal(const Cand &c, Cycle from) const
 {
     sam_assert(stateLegal(c), "earliestLegal on a state-illegal cand");
-    Cycle e = from;
-    forEachBound(c, [&e](std::size_t, Cycle bound) {
-        e = std::max(e, bound);
-    });
-    return e;
+    return rules_.earliest(c.kind, c.addr, from);
 }
 
 std::vector<std::string>
 SpecModel::bindingRules(const Cand &c, Cycle at) const
 {
-    std::vector<std::string> names;
-    forEachBound(c, [&](std::size_t rule, Cycle bound) {
-        if (bound != at)
-            return;
-        const std::string &name =
-            rule < rules_.size() ? rules_[rule].name : "tFAW";
-        if (std::find(names.begin(), names.end(), name) == names.end())
-            names.push_back(name);
-    });
-    return names;
+    return rules_.bindingRules(c.kind, c.addr, at);
 }
 
 bool
@@ -348,30 +88,24 @@ SpecModel::apply(const Cand &c, Cycle at)
 {
     sam_assert(at >= lastIssue_, "commands must be applied in order");
     lastIssue_ = at;
-    const unsigned k = kindIx(c.kind);
+    rules_.commit(c.kind, c.addr, at);
     RankS &rank = ranks_[rankId(c.addr.channel, c.addr.rank)];
-    rank.t.last[k] = at;
-    rank.t.has[k] = true;
-    if (bankKind(c.kind)) {
-        BankS &bank = banks_[bankId(c.addr)];
-        GroupS &group = groups_[groupId(c.addr)];
-        bank.t.last[k] = at;
-        bank.t.has[k] = true;
-        group.t.last[k] = at;
-        group.t.has[k] = true;
-        if (c.kind == CmdKind::Act) {
-            bank.open = true;
-            bank.row = c.addr.row;
-            rank.actWindow.push_back(at);
-            if (rank.actWindow.size() > 4)
-                rank.actWindow.erase(rank.actWindow.begin());
-        } else if (c.kind == CmdKind::Pre) {
-            bank.open = false;
-        }
-    } else if (c.kind == CmdKind::ModeSwitch) {
+    switch (c.kind) {
+      case CmdKind::Act:
+        banks_[bankId(c.addr)] = BankS{true, c.addr.row};
+        break;
+      case CmdKind::Pre:
+        banks_[bankId(c.addr)].open = false;
+        break;
+      case CmdKind::ModeSwitch:
         rank.mode = c.mode;
-    } else {
+        break;
+      case CmdKind::Ref:
         ++rank.refCount;
+        break;
+      case CmdKind::Rd:
+      case CmdKind::Wr:
+        break;
     }
 }
 
@@ -393,42 +127,20 @@ SpecModel::canonical() const
 {
     std::string out;
     out.reserve(64 + banks_.size() * 32);
+    rules_.encodeHistory(out, lastIssue_);
     const auto u32 = [&out](std::uint32_t v) {
         out.push_back(static_cast<char>(v & 0xff));
         out.push_back(static_cast<char>((v >> 8) & 0xff));
         out.push_back(static_cast<char>((v >> 16) & 0xff));
         out.push_back(static_cast<char>((v >> 24) & 0xff));
     };
-    // Ages saturate at the horizon: anything older cannot influence
-    // any rule and is merged with "never happened".
-    const auto age = [&](const KindTimes &t, unsigned k) {
-        if (!t.has[k])
-            return std::uint32_t(0xffffffffu);
-        const Cycle a = lastIssue_ - t.last[k];
-        return a >= horizon_ ? std::uint32_t(0xffffffffu)
-                             : static_cast<std::uint32_t>(a);
-    };
     for (const BankS &bank : banks_) {
         u32(bank.open ? 1 : 0);
         // A closed bank's stale row is unobservable; mask it so states
         // differing only there merge.
         u32(bank.open ? static_cast<std::uint32_t>(bank.row) : 0);
-        for (unsigned k = 0; k < kKinds; ++k)
-            u32(age(bank.t, k));
-    }
-    for (const GroupS &group : groups_) {
-        for (unsigned k = 0; k < kKinds; ++k)
-            u32(age(group.t, k));
     }
     for (const RankS &rank : ranks_) {
-        for (unsigned k = 0; k < kKinds; ++k)
-            u32(age(rank.t, k));
-        u32(static_cast<std::uint32_t>(rank.actWindow.size()));
-        for (Cycle t : rank.actWindow) {
-            const Cycle a = lastIssue_ - t;
-            u32(a >= horizon_ ? static_cast<std::uint32_t>(horizon_)
-                              : static_cast<std::uint32_t>(a));
-        }
         u32(rank.mode == AccessMode::Stride ? 1 : 0);
         u32(static_cast<std::uint32_t>(
             std::min<std::uint64_t>(rank.refCount, 15)));
@@ -682,6 +394,19 @@ verifySpecAgainstChecker(const Geometry &geom,
 
             const Cycle earliest = model.earliestLegal(c, floor);
             ++issuable;
+            // The forward bound (the compiled table, what the Device
+            // reads) must be the largest rule bound read back from the
+            // issue history (what names the binding rules).
+            const Cycle backward =
+                std::max(floor, model.rules().ruleBound(c.kind, c.addr));
+            if (backward != earliest) {
+                fail("forward bound " + std::to_string(earliest) +
+                     " != rule-by-rule bound " + std::to_string(backward) +
+                     " for " + candCommand(c, earliest).str() +
+                     " after [" +
+                     describeStream({cmds.begin(), cmds.end() - 1}) +
+                     "]");
+            }
             const Cycle deadline =
                 c.kind == CmdKind::Ref
                     ? model.refDeadline(c.addr.channel, c.addr.rank)

@@ -1,16 +1,15 @@
 /**
  * @file
- * Declarative timing specification and offline model checker.
+ * Offline model checker for the timing rule table.
  *
  * The ProtocolChecker (protocol_checker.cc) re-derives command legality
- * imperatively, one `if` per constraint. This module lifts the same
- * rules into data: a table of pairwise issue-gap rules
- * (prev-kind -> next-kind at bank / bank-group / rank / channel scope),
- * plus the small set of constraints that are not pairwise (the tFAW
- * four-activate window, bank/mode/refresh state legality, the tREFI
- * postponement deadline). SpecModel evaluates that table forward: given
- * a command history it answers "what is the earliest cycle this
- * candidate may issue?".
+ * imperatively, one `if` per constraint. The rule table
+ * (src/dram/timing_rules) states the same timing rules as data, and its
+ * evaluator, TimingRules, is what the Device schedules with. SpecModel
+ * adds the constraints that are not timing gaps -- bank/mode/refresh
+ * state legality and the tREFI postponement deadline -- and answers
+ * "what is the earliest cycle this candidate may issue?" by calling the
+ * same TimingRules::earliest the Device calls.
  *
  * verifySpecAgainstChecker() then explores the joint command FSM by
  * bounded BFS, and at every reachable state cross-examines the two
@@ -20,6 +19,9 @@
  *    the ProtocolChecker (spec is not looser than the checker);
  *  - issuing it one cycle earlier, when the bound is binding, must be
  *    flagged with one of the binding rule names (spec is not tighter);
+ *  - the forward bound the evaluator computes must equal the largest
+ *    bound its rules give when read one by one from the issue history
+ *    (the compiled table is the table);
  *  - state-illegal candidates must be flagged (bank/mode/refresh state
  *    agreement);
  *  - issuing later than the earliest must stay clean (legality is
@@ -27,6 +29,10 @@
  *    scheduler relies on), except past the tREFI deadline;
  *  - every reachable state must have at least one issuable candidate
  *    with a finite earliest cycle (no deadlock).
+ *
+ * The Device's policy -- which commands an access needs, its floors,
+ * and where refresh goes -- stays outside the BFS: the proof covers the
+ * evaluator it issues commands through, not the choices it makes.
  *
  * States are deduplicated by a canonical encoding with cycle deltas
  * rebased to the last issue and saturated at the spec horizon (the
@@ -37,7 +43,6 @@
 #ifndef SAM_CHECK_SPEC_MODEL_HH
 #define SAM_CHECK_SPEC_MODEL_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -46,53 +51,13 @@
 #include "src/common/types.hh"
 #include "src/dram/command.hh"
 #include "src/dram/timing.hh"
+#include "src/dram/timing_rules.hh"
 
 namespace sam {
 
-/** Scope a pairwise rule measures its gap across. */
-enum class SpecScope { Bank, BankGroup, Rank, Channel };
-
-/** Rank relation for Channel-scope (data-bus) rules. */
-enum class SpecRankRel { Any, Same, Diff };
-
 /**
- * One pairwise issue-gap rule: a `next`-kind command must issue at
- * least `gap` cycles after the latest `prev`-kind command in scope.
- * Gaps are in issue-to-issue cycles; rules derived from data-relative
- * constraints (tWR, tWTR, bus occupancy) fold the CAS-to-data offsets
- * into the gap. `name` matches the constraint name the ProtocolChecker
- * uses when flagging a violation of the same rule.
- */
-struct SpecRule
-{
-    CmdKind prev = CmdKind::Act;
-    CmdKind next = CmdKind::Act;
-    SpecScope scope = SpecScope::Bank;
-    SpecRankRel rankRel = SpecRankRel::Any;
-    unsigned gap = 0;
-    std::string name;
-};
-
-/**
- * Build the full pairwise rule table for one timing preset. Rules whose
- * derived gap is zero or negative (e.g. the same-rank WR->RD bus rule,
- * dominated by tWTR) are dropped: a non-positive issue gap can never
- * bind. Refresh-blackout rules are dropped when tRFC is zero.
- */
-std::vector<SpecRule> specRuleTable(const TimingParams &timing);
-
-/**
- * Render the rule table plus the non-pairwise constraints as stable
- * one-line-per-rule text (golden-test surface; see
- * tests/test_spec_model.cc).
- */
-std::string describeRuleTable(const TimingParams &timing);
-
-/**
- * Forward evaluator for the rule table: tracks per-bank / per-group /
- * per-rank last-issue times, the tFAW window, bank open state, rank
- * I/O mode and refresh count, and answers earliest-legal queries.
- * Copyable value type.
+ * The rule table's evaluator plus bank open state, rank I/O mode and
+ * refresh count: answers earliest-legal queries. Copyable value type.
  */
 class SpecModel
 {
@@ -114,8 +79,10 @@ class SpecModel
     bool stateLegal(const Cand &c) const;
 
     /**
-     * Earliest cycle >= `from` at which `c` may issue. `c` must be
-     * state-legal. Pass lastIssue() as `from` to respect stream order.
+     * Earliest cycle >= `from` at which `c` may issue:
+     * TimingRules::earliest, the call the Device schedules with. `c`
+     * must be state-legal. Pass lastIssue() as `from` to respect
+     * stream order.
      */
     Cycle earliestLegal(const Cand &c, Cycle from) const;
 
@@ -155,58 +122,33 @@ class SpecModel
      * Look-back bound: no rule (pairwise, tFAW) reaches further than
      * this many cycles into the past.
      */
-    Cycle horizon() const { return horizon_; }
+    Cycle horizon() const { return rules_.horizon(); }
 
-    const std::vector<SpecRule> &rules() const { return rules_; }
+    /** The timing-rule evaluator this model issues through. */
+    const TimingRules &rules() const { return rules_; }
     const Geometry &geometry() const { return geom_; }
     const TimingParams &timing() const { return timing_; }
 
   private:
-    static constexpr unsigned kKinds = 6;
-
-    /** Last issue time per command kind at one scope. */
-    struct KindTimes
-    {
-        std::array<Cycle, kKinds> last{};
-        std::array<bool, kKinds> has{};
-    };
     struct BankS
     {
-        KindTimes t;
         bool open = false;
         std::uint64_t row = 0;
     };
-    struct GroupS
-    {
-        KindTimes t;
-    };
     struct RankS
     {
-        KindTimes t;
-        std::vector<Cycle> actWindow; ///< Up to 4 most recent ACTs.
         AccessMode mode = AccessMode::Regular;
         std::uint64_t refCount = 0;
     };
 
     std::size_t rankId(unsigned ch, unsigned rk) const;
-    std::size_t groupId(const MappedAddr &a) const;
     std::size_t bankId(const MappedAddr &a) const;
-    /** Kinds addressed to a specific bank (Act/Pre/Rd/Wr). */
-    static bool bankKind(CmdKind kind);
-    /**
-     * Rule evaluation core shared by earliestLegal / bindingRules:
-     * calls `fn(ruleIndex, boundCycle)` for every applicable rule
-     * instance plus the tFAW window (ruleIndex == rules_.size()).
-     */
-    template <typename Fn> void forEachBound(const Cand &c, Fn fn) const;
 
     Geometry geom_;
     TimingParams timing_;
-    std::vector<SpecRule> rules_;
-    Cycle horizon_ = 0;
+    TimingRules rules_;
     Cycle lastIssue_ = 0;
     std::vector<BankS> banks_;
-    std::vector<GroupS> groups_;
     std::vector<RankS> ranks_;
 };
 

@@ -537,10 +537,12 @@ writeJsonFile(const std::string &path, const Json &doc)
     const std::string text = doc.dump();
     {
         std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        sam_assert(out.good(), "cannot open ", tmp, " for writing");
+        if (!out.good())
+            fatal("cannot open ", tmp, " for writing");
         out << text;
         out.flush();
-        sam_assert(out.good(), "write to ", tmp, " failed");
+        if (!out.good())
+            fatal("write to ", tmp, " failed");
     }
     const int fd = ::open(tmp.c_str(), O_RDONLY);
     if (fd >= 0) {
@@ -550,7 +552,7 @@ writeJsonFile(const std::string &path, const Json &doc)
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         const int err = errno;
         std::remove(tmp.c_str());
-        panic("rename ", tmp, " -> ", path, " failed: ",
+        fatal("rename ", tmp, " -> ", path, " failed: ",
               std::strerror(err));
     }
 }

@@ -111,7 +111,8 @@ class Json
 };
 
 /**
- * Write a JSON document to `path` atomically (panics on I/O failure):
+ * Write a JSON document to `path` atomically (fatal() on I/O failure:
+ * the path is the caller's, so an unwritable one is a user error):
  * the serialized text goes to `path + ".tmp"`, is flushed and fsynced,
  * and is renamed over `path` only then. An interrupted run can
  * therefore never leave a truncated BENCH/telemetry/trace file for

@@ -6,6 +6,22 @@
 
 namespace sam {
 
+namespace {
+
+/** What panic() throws once it has printed its message. */
+class PanicError : public std::logic_error
+{
+    using std::logic_error::logic_error;
+};
+
+/** What fatal() throws once it has printed its message. */
+class FatalError : public std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+} // namespace
+
 namespace detail {
 
 bool quiet = false;
@@ -17,7 +33,7 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::fflush(stderr);
     // Throw rather than abort() so unit tests can observe panics with
     // EXPECT_THROW; uncaught, it still terminates the process.
-    throw std::logic_error("panic: " + msg);
+    throw PanicError("panic: " + msg);
 }
 
 [[noreturn]] void
@@ -25,7 +41,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void
@@ -48,6 +64,15 @@ void
 setQuietLogging(bool quiet)
 {
     detail::quiet = quiet;
+}
+
+void
+reportUncaught(const std::exception &e)
+{
+    if (dynamic_cast<const PanicError *>(&e) ||
+        dynamic_cast<const FatalError *>(&e))
+        return;
+    std::fprintf(stderr, "%s\n", e.what());
 }
 
 } // namespace sam

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <sstream>
 #include <string>
 
@@ -43,6 +44,13 @@ extern bool quiet;
 
 /** Suppress or re-enable warn()/inform() console output. */
 void setQuietLogging(bool quiet);
+
+/**
+ * Print an exception that reached a tool's top level. panic() and
+ * fatal() have already printed theirs, with file:line, so those print
+ * nothing more; anything else prints its what().
+ */
+void reportUncaught(const std::exception &e);
 
 /**
  * Abort on an internal invariant violation — a simulator bug, never a

@@ -28,16 +28,12 @@ DeviceStats::registerIn(StatGroup &group) const
 }
 
 Device::Device(const Geometry &geom, const TimingParams &timing)
-    : geom_(geom), timing_(timing)
+    : geom_(geom), timing_(timing), rules_(geom, timing)
 {
     banks_.resize(static_cast<std::size_t>(geom_.channels) * geom_.ranks *
                   geom_.banksPerRank());
     ranks_.resize(static_cast<std::size_t>(geom_.channels) * geom_.ranks);
-    channels_.resize(geom_.channels);
     for (auto &r : ranks_) {
-        r.groupCasReady.assign(geom_.bankGroups, 0);
-        r.groupActReady.assign(geom_.bankGroups, 0);
-        r.groupRdReady.assign(geom_.bankGroups, 0);
         // Stagger initial refreshes across ranks is unnecessary at this
         // fidelity; refresh starts one interval in.
         r.nextRefresh = timing_.tREFI;
@@ -89,6 +85,16 @@ Device::emit(CmdKind kind, Cycle at, const MappedAddr &addr,
         entry.second(cmd);
 }
 
+Cycle
+Device::issue(CmdKind kind, const MappedAddr &addr, Cycle floor,
+              AccessMode mode)
+{
+    const Cycle at = rules_.earliest(kind, addr, floor);
+    rules_.commit(kind, addr, at);
+    emit(kind, at, addr, mode);
+    return at;
+}
+
 void
 Device::addRowListener(RowStateListener *listener)
 {
@@ -135,15 +141,12 @@ Device::applyRefresh(RankState &rank_state, unsigned channel,
         return; // non-volatile technology: no refresh
     const unsigned rank_id = channel * geom_.ranks + rank_nr;
     while (rank_state.nextRefresh <= t) {
-        // REF requires every bank of the rank precharged (tRP honoured)
-        // and must not start before previously committed activity on
-        // the rank completes -- the engine runs event-driven, so work
-        // scheduled by earlier accesses may already extend past the
-        // nominal tREFI deadline. Close open rows first and defer the
-        // refresh start accordingly (real controllers postpone refresh
-        // the same way, by up to 8 intervals).
-        Cycle ref_start = std::max(rank_state.nextRefresh,
-                                   rank_state.refreshUntil);
+        // REF requires every bank of the rank precharged, so close the
+        // open rows first, each as soon as its bank allows. The engine
+        // runs event-driven, so work scheduled by earlier accesses may
+        // already extend past the nominal tREFI slot; the REF then
+        // waits for it (real controllers postpone refresh the same
+        // way, by up to 8 intervals).
         for (unsigned b = 0; b < geom_.banksPerRank(); ++b) {
             BankState &bs = banks_[rank_id * geom_.banksPerRank() + b];
             if (!bs.rowOpen)
@@ -157,25 +160,18 @@ Device::applyRefresh(RankState &rank_state, unsigned channel,
             pre_addr.bankGroup = b / geom_.banksPerGroup;
             pre_addr.bank = b % geom_.banksPerGroup;
             pre_addr.row = bs.row;
-            emit(CmdKind::Pre, bs.preReady, pre_addr);
+            issue(CmdKind::Pre, pre_addr, 0);
             bs.rowOpen = false;
             for (RowStateListener *l : rowListeners_)
                 l->rowClosed(rank_id * geom_.banksPerRank() + b);
-            ref_start = std::max(ref_start, bs.preReady + timing_.tRP);
-        }
-        const Cycle ref_end = ref_start + timing_.tRFC;
-        rank_state.refreshUntil = std::max(rank_state.refreshUntil,
-                                           ref_end);
-        // All banks of the rank are blocked until tRFC completes.
-        for (unsigned b = 0; b < geom_.banksPerRank(); ++b) {
-            BankState &bs = banks_[rank_id * geom_.banksPerRank() + b];
-            bs.actReady = std::max(bs.actReady, ref_end);
-            bs.casReady = std::max(bs.casReady, ref_end);
         }
         MappedAddr ref_addr;
         ref_addr.channel = channel;
         ref_addr.rank = rank_nr;
-        emit(CmdKind::Ref, ref_start, ref_addr);
+        const Cycle ref_at =
+            issue(CmdKind::Ref, ref_addr, rank_state.nextRefresh);
+        // The rank stays blocked for every command until tRFC ends.
+        rank_state.refreshUntil = ref_at + timing_.tRFC;
         rank_state.nextRefresh += timing_.tREFI;
         ++stats_.refreshes;
     }
@@ -193,50 +189,34 @@ Device::access(const DeviceAccess &acc, Cycle earliest)
     BankState &bs = bank(a);
     RankState &rs = rank(a);
     applyRefresh(rs, a.channel, a.rank, earliest);
-    const unsigned rank_id = a.channel * geom_.ranks + a.rank;
 
+    // Policy floors. Every command of the access waits for the access
+    // to arrive and for the rank's refresh to end; the timing rules
+    // place it from there.
     AccessResult result;
-    Cycle t = std::max(earliest, rs.refreshUntil);
+    const Cycle t = std::max(earliest, rs.refreshUntil);
 
     // ----- Row preparation -----------------------------------------
     const bool row_hit = bs.rowOpen && bs.row == a.row;
-    Cycle cas_earliest = t;
+    // A mode switch waits for the access's row to be CAS-ready.
+    Cycle switch_floor = t;
     if (row_hit) {
         ++stats_.rowHits;
         result.rowHit = true;
     } else {
         ++stats_.rowMisses;
-        Cycle act_floor = t;
         if (bs.rowOpen) {
-            const Cycle pre_at = std::max(t, bs.preReady);
             MappedAddr pre_addr = a;
             pre_addr.row = bs.row;
-            emit(CmdKind::Pre, pre_at, pre_addr);
-            act_floor = pre_at + timing_.tRP;
+            issue(CmdKind::Pre, pre_addr, t);
             ++stats_.precharges;
-        } else {
-            act_floor = std::max(t, bs.actReady);
         }
-        // Inter-ACT constraints: tRRD_S/L and the tFAW window.
-        Cycle act_at = std::max({act_floor, rs.actReady,
-                                 rs.groupActReady[a.bankGroup]});
-        if (rs.actWindow.size() >= 4)
-            act_at = std::max(act_at, rs.actWindow.front() + timing_.tFAW);
-
-        // Commit the ACT.
-        rs.actWindow.push_back(act_at);
-        while (rs.actWindow.size() > 4)
-            rs.actWindow.pop_front();
-        rs.actReady = act_at + timing_.tRRD_S;
-        rs.groupActReady[a.bankGroup] = act_at + timing_.tRRD_L;
+        const Cycle act_at = issue(CmdKind::Act, a, t);
         bs.rowOpen = true;
         bs.row = a.row;
         for (RowStateListener *l : rowListeners_)
             l->rowOpened(a.flatBank(geom_), a.row);
-        bs.preReady = act_at + timing_.tRAS;
-        bs.casReady = std::max(bs.casReady, act_at + timing_.tRCD);
-        cas_earliest = act_at + timing_.tRCD;
-        emit(CmdKind::Act, act_at, a);
+        switch_floor = act_at + timing_.tRCD;
         result.activates = 1;
         ++stats_.activates;
         if (acc.columnActivate)
@@ -245,71 +225,24 @@ Device::access(const DeviceAccess &acc, Cycle earliest)
 
     // ----- I/O mode switch (Section 5.3: costs tRTR on the rank) ----
     if (rs.ioMode != acc.mode) {
-        const Cycle sw_at = std::max({cas_earliest, rs.modeReady,
-                                      rs.modeSwitchFloor});
-        cas_earliest = sw_at + timing_.tRTR;
+        issue(CmdKind::ModeSwitch, a, switch_floor, acc.mode);
         rs.ioMode = acc.mode;
-        rs.modeReady = cas_earliest;
-        emit(CmdKind::ModeSwitch, sw_at, a, acc.mode);
         result.modeSwitched = true;
         ++stats_.modeSwitches;
     }
 
     // ----- CAS + data bursts ----------------------------------------
     const unsigned bursts = 1 + acc.extraBursts;
+    const CmdKind cas = acc.isWrite ? CmdKind::Wr : CmdKind::Rd;
     const unsigned cas_lat = acc.isWrite ? timing_.cwl : timing_.cl;
+    Cycle cas_floor = t;
     Cycle data_end = 0;
     for (unsigned b = 0; b < bursts; ++b) {
-        Cycle cas_at = std::max({cas_earliest, bs.casReady, rs.casReady,
-                                 rs.groupCasReady[a.bankGroup]});
-        cas_at = std::max(cas_at,
-                          acc.isWrite
-                              ? rs.wrReady
-                              : std::max(rs.rdReady,
-                                         rs.groupRdReady[a.bankGroup]));
-
-        // Data bus: the burst occupies [data_at, data_at + tBL); a rank
-        // switch on the bus inserts a tRTR bubble.
-        ChannelState &ch = channels_[a.channel];
-        Cycle data_at = cas_at + cas_lat;
-        Cycle bus_floor = ch.busFree;
-        if (ch.lastBusRank >= 0 &&
-            ch.lastBusRank != static_cast<int>(rank_id)) {
-            bus_floor += timing_.tRTR;
-        }
-        if (data_at < bus_floor) {
-            data_at = bus_floor;
-            cas_at = data_at - cas_lat;
-        }
-
-        // Commit the CAS.
-        rs.casReady = cas_at + timing_.tCCD_S;
-        rs.groupCasReady[a.bankGroup] = cas_at + timing_.tCCD_L;
-        bs.casReady = std::max(bs.casReady, cas_at + timing_.tCCD_L);
-        rs.modeSwitchFloor = std::max(rs.modeSwitchFloor, cas_at + 1);
-        if (acc.isWrite) {
-            const Cycle wr_end = cas_at + timing_.cwl + timing_.tBL;
-            bs.preReady = std::max(bs.preReady, wr_end + timing_.tWR);
-            rs.rdReady = std::max(rs.rdReady, wr_end + timing_.tWTR_S);
-            rs.groupRdReady[a.bankGroup] =
-                std::max(rs.groupRdReady[a.bankGroup],
-                         wr_end + timing_.tWTR_L);
-        } else {
-            bs.preReady = std::max(bs.preReady, cas_at + timing_.tRTP);
-            // Read-to-write bus turnaround: write data may start no
-            // earlier than one bubble past read-burst end. Guarded so
-            // a hypothetical cwl > cl + tBL + 2 cannot wrap.
-            const Cycle rd_end = cas_at + timing_.cl + timing_.tBL;
-            rs.wrReady = std::max(rs.wrReady,
-                                  rd_end + 2 > timing_.cwl
-                                      ? rd_end + 2 - timing_.cwl
-                                      : 0);
-        }
-        emit(acc.isWrite ? CmdKind::Wr : CmdKind::Rd, cas_at, a,
-             acc.mode);
-
-        ch.busFree = data_at + timing_.tBL;
-        ch.lastBusRank = static_cast<int>(rank_id);
+        // The rules keep the burst's data window [cas + CL/CWL, + tBL)
+        // off every other burst on the channel, tRTR apart across
+        // ranks.
+        const Cycle cas_at = issue(cas, a, cas_floor, acc.mode);
+        const Cycle data_at = cas_at + cas_lat;
         stats_.busBusyCycles += timing_.tBL;
         data_end = data_at + timing_.tBL;
 
@@ -319,7 +252,8 @@ Device::access(const DeviceAccess &acc, Cycle earliest)
         } else {
             ++stats_.extraBursts;
         }
-        cas_earliest = cas_at + 1;
+        // Each extra burst follows the previous CAS.
+        cas_floor = cas_at + 1;
     }
     result.done = data_end + acc.extraLatency;
 

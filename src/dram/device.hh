@@ -2,20 +2,24 @@
  * @file
  * Cycle-accounted DRAM/RRAM device timing model.
  *
- * The device is an event-driven resource-reservation engine: every bank,
- * rank, and the shared data bus keep "earliest next action" timestamps,
- * and each access computes its PRE/ACT/CAS/data placement against the
- * full DDR4 constraint set (tRCD, tRP, tRAS, tCCD_S/L, tRRD_S/L, tFAW,
- * tWR, tWTR, tRTP, tRTR, refresh). This captures bank-level parallelism,
- * row-buffer locality, bus occupancy, rank switches, and SAM's I/O mode
- * switches without per-cycle ticking.
+ * The device is policy plus the timing rule table. Policy is what an
+ * access needs -- a PRE and ACT on a row miss, a SAM I/O mode switch
+ * when the rank is in the other mode, one CAS per burst, refresh every
+ * tREFI with the rank's open rows closed first -- and the floor each
+ * command may not issue before. Timing is the table: every command
+ * issues at TimingRules::earliest (src/dram/timing_rules), which folds
+ * the full DDR4 constraint set (tRCD, tRP, tRAS, tCCD_S/L, tRRD_S/L,
+ * tFAW, tWR, tWTR, tRTP, tRTR, data-bus occupancy, refresh) into
+ * forward ready times at commit. samverify proves that table against
+ * the independent ProtocolChecker. This captures bank-level
+ * parallelism, row-buffer locality, bus occupancy, rank switches, and
+ * SAM's I/O mode switches without per-cycle ticking.
  */
 
 #ifndef SAM_DRAM_DEVICE_HH
 #define SAM_DRAM_DEVICE_HH
 
 #include <cstddef>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "src/dram/address.hh"
 #include "src/dram/command.hh"
 #include "src/dram/timing.hh"
+#include "src/dram/timing_rules.hh"
 
 namespace sam {
 
@@ -114,16 +119,10 @@ class Device
 
     /**
      * Schedule one access no earlier than `earliest`. Mutates device
-     * state (row buffers, bus, mode registers) and returns the timing.
+     * state (row buffers, mode registers, refresh schedule, the timing
+     * rules' issue history) and returns the timing.
      */
     AccessResult access(const DeviceAccess &acc, Cycle earliest);
-
-    /** Earliest cycle the channel's data bus is free. */
-    Cycle
-    busFreeAt(unsigned channel = 0) const
-    {
-        return channels_[channel].busFree;
-    }
 
     /**
      * Attach an observer invoked once per scheduled DDR command
@@ -164,56 +163,38 @@ class Device
     {
         bool rowOpen = false;
         std::uint64_t row = 0;
-        Cycle actReady = 0;  ///< Earliest next ACT (tRP honoured).
-        Cycle preReady = 0;  ///< Earliest next PRE (tRAS/tWR/tRTP).
-        Cycle casReady = 0;  ///< Earliest next CAS to this bank.
     };
 
     struct RankState
     {
-        std::vector<Cycle> groupCasReady;  ///< tCCD_L per bank group.
-        std::vector<Cycle> groupActReady;  ///< tRRD_L per bank group.
-        std::vector<Cycle> groupRdReady;   ///< tWTR_L per bank group.
-        Cycle casReady = 0;                ///< tCCD_S rank-wide.
-        Cycle actReady = 0;                ///< tRRD_S rank-wide.
-        Cycle rdReady = 0;                 ///< Write-to-read (tWTR_S).
-        Cycle wrReady = 0;                 ///< Read-to-write turnaround.
-        std::deque<Cycle> actWindow;       ///< Last ACTs for tFAW.
         AccessMode ioMode = AccessMode::Regular;
-        Cycle modeReady = 0;
-        /**
-         * Mode switches must serialize behind the rank's last CAS so
-         * the command stream stays well-ordered (a switch issued
-         * before an already-committed CAS would retroactively change
-         * that CAS's mode). Timing-neutral while tRTR + 1 <= tCCD_S.
-         */
-        Cycle modeSwitchFloor = 0;
-        Cycle nextRefresh = 0;
-        Cycle refreshUntil = 0;
+        Cycle nextRefresh = 0;   ///< Nominal slot of the next REF.
+        Cycle refreshUntil = 0;  ///< End of the last REF's tRFC.
     };
 
     BankState &bank(const MappedAddr &a);
     RankState &rank(const MappedAddr &a);
 
-    /** Retire refreshes due before `t`; returns updated floor time. */
+    /** Issue every refresh due by `t` on the rank. */
     void applyRefresh(RankState &rank, unsigned channel, unsigned rank_nr,
                       Cycle t);
+
+    /**
+     * Issue one command at the earliest cycle >= `floor` the timing
+     * rules allow, report it to the observers, and return that cycle.
+     */
+    Cycle issue(CmdKind kind, const MappedAddr &addr, Cycle floor,
+                AccessMode mode = AccessMode::Regular);
 
     /** Report one command to the observer, if any is attached. */
     void emit(CmdKind kind, Cycle at, const MappedAddr &addr,
               AccessMode mode = AccessMode::Regular);
 
-    struct ChannelState
-    {
-        Cycle busFree = 0;
-        int lastBusRank = -1;
-    };
-
     Geometry geom_;
     TimingParams timing_;
+    TimingRules rules_;
     std::vector<BankState> banks_;
     std::vector<RankState> ranks_;
-    std::vector<ChannelState> channels_;
     DeviceStats stats_;
     std::vector<std::pair<const void *, CommandObserver>> cmdObservers_;
     std::vector<RowStateListener *> rowListeners_;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/check/protocol_checker.hh"
+#include "src/designs/design.hh"
 #include "src/dram/device.hh"
 #include "src/dram/timing.hh"
 #include "src/imdb/query.hh"
@@ -172,6 +173,22 @@ TEST_F(CheckerTest, RefreshWithOpenRowDetected)
     checker.observe(cmd(CmdKind::Act, 0, 0, 0, 1));
     checker.observe(rankCmd(CmdKind::Ref, 100, 0));
     expectSingle(checker, "bank-state");
+}
+
+TEST_F(CheckerTest, RefreshWithinTrpOfPrechargeDetected)
+{
+    // The bank is closed, but its precharge completes only at
+    // 39 + tRP = 56: a REF one cycle earlier is flagged, at 56 clean.
+    for (const Cycle ref_at : {Cycle{55}, Cycle{56}}) {
+        ProtocolChecker checker(geom, timing);
+        checker.observe(cmd(CmdKind::Act, 0, 0, 0, 1));
+        checker.observe(cmd(CmdKind::Pre, 39, 0, 0, 1));
+        checker.observe(rankCmd(CmdKind::Ref, ref_at, 0));
+        if (ref_at < 39 + timing.tRP)
+            expectSingle(checker, "tRP");
+        else
+            EXPECT_TRUE(checker.clean()) << checker.report();
+    }
 }
 
 TEST_F(CheckerTest, CasModeMismatchDetected)
@@ -448,10 +465,12 @@ TEST_F(CheckerTest, SameCycleTieBreakReportPinned)
     // Observed in reverse, the col5 RD @60 comes first and takes [7].
     EXPECT_EQ(
         checker.report(100),
-        "ProtocolChecker: 11 violation(s) over 9 commands\n"
+        "ProtocolChecker: 12 violation(s) over 9 commands\n"
         "  [2] tRAS: PRE ch0 rk0 bg0 bk0 row1 @30: only 30 cycles after "
         "ACT @0, need 39\n"
         "  [4] bank-state: REF ch0 rk0 @30: REF with bank 4 open (row 2)\n"
+        "  [4] tRP: REF ch0 rk0 @30: only 0 cycles after rank PRE @30, "
+        "need 17\n"
         "  [5] tRFC: RD ch0 rk0 bg1 bk0 row2 col0 @30: issued during "
         "refresh blackout [30, 450)\n"
         "  [5] tRCD: RD ch0 rk0 bg1 bk0 row2 col0 @30: only 0 cycles "
@@ -476,14 +495,10 @@ TEST_F(CheckerTest, SameCycleTieBreakReportPinned)
 // Legal streams from the real timing engine
 // --------------------------------------------------------------------
 
-class RandomTrafficTest : public ::testing::TestWithParam<MemTech>
-{
-};
-
-TEST_P(RandomTrafficTest, DeviceStreamValidatesClean)
+void
+expectDeviceStreamClean(const TimingParams &timing)
 {
     const Geometry geom;
-    const TimingParams timing = timingFor(GetParam());
     Device device(geom, timing);
     ProtocolChecker checker(geom, timing);
     checker.attach(device);
@@ -493,6 +508,31 @@ TEST_P(RandomTrafficTest, DeviceStreamValidatesClean)
     EXPECT_GT(checker.commandCount(), 2000u);
     if (timing.tREFI > 0) {
         EXPECT_GT(device.stats().refreshes.value(), 0u);
+    }
+}
+
+class RandomTrafficTest : public ::testing::TestWithParam<MemTech>
+{
+};
+
+TEST_P(RandomTrafficTest, DeviceStreamValidatesClean)
+{
+    expectDeviceStreamClean(timingFor(GetParam()));
+}
+
+TEST_P(RandomTrafficTest, DeratedDeviceStreamValidatesClean)
+{
+    // These designs run the technology's timings derated by their area
+    // overhead (Section 6.1); every other design's derating rounds to
+    // the plain preset (SAM-en's does on DDR4, not on RRAM). The Device
+    // schedules from whatever rule table the derated timings give.
+    for (const DesignKind kind :
+         {DesignKind::RcNvmBit, DesignKind::RcNvmWord, DesignKind::SamSub,
+          DesignKind::SamEn}) {
+        const double overhead = makeDesign(kind).areaOverhead;
+        SCOPED_TRACE(designName(kind) + " derated by " +
+                     std::to_string(overhead));
+        expectDeviceStreamClean(timingFor(GetParam()).derated(overhead));
     }
 }
 

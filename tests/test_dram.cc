@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/random.hh"
 #include "src/dram/data_path.hh"
 #include "src/dram/device.hh"
@@ -75,8 +78,8 @@ TEST(Timing, Ddr4PresetInvariants)
     EXPECT_GT(t.tREFI, t.tRFC);        // refresh fits in its interval
     EXPECT_GT(t.cl, t.cwl);            // DDR4: read latency > write
     EXPECT_GE(t.tCCD_S, t.tBL);        // back-to-back bursts fit
-    // The mode-switch ordering in the engine (see RankState::
-    // modeSwitchFloor) is timing-neutral only while this holds.
+    // The mode-switch ordering rule (RD/WR->MSW rank gap=1 in the
+    // timing rule table) is timing-neutral only while this holds.
     EXPECT_GE(t.tCCD_S, t.tRTR + 1);
 }
 
@@ -370,8 +373,11 @@ TEST_F(DeviceTest, ExtraLatencyDelaysCompletionOnly)
     acc.extraLatency = 8;
     const auto r = dev.access(acc, 0);
     EXPECT_EQ(r.done, r.dataStart + timing.tBL + 8);
-    // The bus frees at burst end, not at the delayed completion.
-    EXPECT_EQ(dev.busFreeAt(), r.dataStart + timing.tBL);
+    // The bus frees at burst end, not at the delayed completion: the
+    // other rank's burst follows one tRTR bubble after it.
+    const auto next = dev.access(rd(mkAddr(1, 0, 0, 1, 0)), 0);
+    EXPECT_EQ(next.dataStart, r.dataStart + timing.tBL + timing.tRTR);
+    EXPECT_LT(next.dataStart, r.done);
 }
 
 TEST_F(DeviceTest, ColumnActivatesCountedSeparately)
@@ -396,8 +402,7 @@ TEST_F(DeviceTest, RandomTrafficKeepsResourceInvariants)
     // never double-books (successive bursts at least tBL apart).
     Device dev(geom, timing);
     Rng rng(2024);
-    Cycle last_data_start = 0;
-    bool first = true;
+    std::vector<Cycle> data_starts;
     for (int i = 0; i < 2000; ++i) {
         DeviceAccess acc;
         acc.addr = mkAddr(static_cast<unsigned>(rng.below(2)),
@@ -411,14 +416,13 @@ TEST_F(DeviceTest, RandomTrafficKeepsResourceInvariants)
         const auto r = dev.access(acc, rng.below(50000));
         ASSERT_LE(r.issue, r.dataStart);
         ASSERT_LE(r.dataStart + timing.tBL, r.done + 1);
-        if (!first) {
-            // Bus slots may be scheduled out of order in wall-clock but
-            // never overlap: track via the device's bus cursor.
-            ASSERT_GE(dev.busFreeAt(), last_data_start + timing.tBL);
-        }
-        last_data_start = r.dataStart;
-        first = false;
+        data_starts.push_back(r.dataStart);
     }
+    // Bus slots may be scheduled out of wall-clock order but never
+    // overlap.
+    std::sort(data_starts.begin(), data_starts.end());
+    for (std::size_t i = 1; i < data_starts.size(); ++i)
+        ASSERT_GE(data_starts[i], data_starts[i - 1] + timing.tBL);
     // Conservation: every access classified exactly once.
     const auto &st = dev.stats();
     EXPECT_EQ(st.reads.value() + st.writes.value() +

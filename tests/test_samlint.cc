@@ -1,8 +1,9 @@
 /**
  * @file
  * samlint engine tests: each check fires on its bad fixture and stays
- * quiet on the matching ok fixture; NOLINT suppression and the
- * include-graph surface walk behave as documented.
+ * quiet on the matching ok fixture; NOLINT suppression, the
+ * include-graph surface walk and the checks' directory scopes behave
+ * as documented.
  */
 
 #include <algorithm>
@@ -35,11 +36,19 @@ lexFixture(const std::string &name)
                             "tools/samlint/fixtures/" + name);
 }
 
+/** Lex a fixture as if it lived at `path` (the src/-only checks). */
+SourceFile
+lexFixtureAs(const std::string &name, const std::string &path)
+{
+    return samlint::lexFile(fixture(name), path);
+}
+
 std::vector<Finding>
 runOn(std::vector<SourceFile> files, const std::string &check = "")
 {
     LintOptions opt;
     opt.allSurface = true;
+    opt.root = SAM_SOURCE_DIR;
     if (!check.empty())
         opt.checks.push_back(check);
     return samlint::runChecks(files, opt);
@@ -158,6 +167,89 @@ TEST(SamLintCodec, BorrowedReferencesAndForwardDeclsAreClean)
     EXPECT_TRUE(runOn({lexFixture("codec_ok.cc")},
                       "sam-codec-construction")
                     .empty());
+}
+
+TEST(SamLintIncludeGuard, FlagsGuardsNotNamedForTheirPath)
+{
+    const auto fs =
+        runOn({lexFixtureAs("guard_bad.hh", "src/fixtures/guard_bad.hh")},
+              "sam-include-guard");
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].line, 3u);
+    EXPECT_NE(fs[0].message.find("should be 'SAM_FIXTURES_GUARD_BAD_HH'"),
+              std::string::npos);
+    // A missing guard and a #define that does not match are flagged too.
+    const auto missing = runOn(
+        {samlint::lexString("struct X {};\n", "src/fixtures/x.hh")},
+        "sam-include-guard");
+    ASSERT_EQ(missing.size(), 1u);
+    EXPECT_NE(missing[0].message.find("missing"), std::string::npos);
+    const auto mismatch = runOn({samlint::lexString(
+                                    "#ifndef SAM_FIXTURES_X_HH\n"
+                                    "#define SAM_FIXTURES_Y_HH\n"
+                                    "#endif\n",
+                                    "src/fixtures/x.hh")},
+                                "sam-include-guard");
+    ASSERT_EQ(mismatch.size(), 1u);
+    EXPECT_NE(mismatch[0].message.find("does not match"),
+              std::string::npos);
+}
+
+TEST(SamLintIncludeGuard, GuardNamedForItsPathIsClean)
+{
+    EXPECT_TRUE(
+        runOn({lexFixtureAs("guard_ok.hh", "src/fixtures/guard_ok.hh")},
+              "sam-include-guard")
+            .empty());
+    // The convention covers src/ headers only.
+    EXPECT_TRUE(
+        runOn({lexFixture("guard_bad.hh")}, "sam-include-guard").empty());
+}
+
+TEST(SamLintIncludePath, FlagsIncludesNotRelativeToRepoRoot)
+{
+    const auto fs =
+        runOn({lexFixture("include_bad.cc")}, "sam-include-path");
+    ASSERT_EQ(fs.size(), 2u);
+    EXPECT_EQ(fs[0].line, 3u);
+    EXPECT_NE(fs[0].message.find("\"dram/device.hh\""),
+              std::string::npos);
+    EXPECT_NE(fs[1].message.find("\"checks.hh\""), std::string::npos);
+}
+
+TEST(SamLintIncludePath, RepoRootIncludesAreClean)
+{
+    EXPECT_TRUE(
+        runOn({lexFixture("include_ok.cc")}, "sam-include-path").empty());
+}
+
+TEST(SamLintStats, FlagsUnregisteredCounter)
+{
+    const auto fs =
+        runOn({lexFixtureAs("stats_bad.hh", "src/fixtures/stats_bad.hh")},
+              "sam-stats-registration");
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_NE(fs[0].message.find("BadStats::writes"), std::string::npos);
+}
+
+TEST(SamLintStats, RegistrationInTheImplementationIsClean)
+{
+    EXPECT_TRUE(
+        runOn({lexFixtureAs("stats_ok.hh", "src/fixtures/stats_ok.hh"),
+               lexFixtureAs("stats_ok.cc", "src/fixtures/stats_ok.cc")},
+              "sam-stats-registration")
+            .empty());
+}
+
+TEST(SamLintScope, CodeChecksSkipTestsButIncludePathDoesNot)
+{
+    const auto fs = runOn({samlint::lexString(
+        "#include \"dram/device.hh\"\n"
+        "std::mutex m;\n"
+        "int f() { return std::rand(); }\n",
+        "tests/x.cc")});
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].check, "sam-include-path");
 }
 
 TEST(SamLintLexer, NolintSuppressesOnlyNamedCheckOnTargetLine)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the declarative timing spec (src/check/spec_model).
+ * Tests for the timing rule table (src/dram/timing_rules) and the
+ * model checker that proves it (src/check/spec_model).
  *
  * The golden tests pin the full rendered rule table for both timing
  * presets: any change to a derived gap, a rule's scope, or the rule
@@ -14,6 +15,7 @@
 
 #include "src/check/protocol_checker.hh"
 #include "src/check/spec_model.hh"
+#include "src/designs/design.hh"
 #include "src/dram/timing.hh"
 
 namespace sam {
@@ -112,6 +114,7 @@ TEST(SpecRuleTable, GoldenDdr4)
               "RD->REF rank any gap=1 tRFC\n"
               "WR->REF rank any gap=1 tRFC\n"
               "MSW->REF rank any gap=1 tRFC\n"
+              "PRE->REF rank any gap=17 tRP\n"
               "RD->RD channel same gap=4 bus-overlap\n"
               "RD->RD channel diff gap=6 tRTR(bus)\n"
               "RD->WR channel same gap=9 bus-overlap\n"
@@ -342,6 +345,57 @@ TEST(SpecVerifier, ExhaustiveAgreementRram)
                                     : "\n" + stats.failures.front());
     EXPECT_TRUE(stats.exhausted);
 }
+
+/** A design whose area overhead derates its technology's timings. */
+struct DeratedPreset
+{
+    MemTech tech;
+    DesignKind design;
+};
+
+class DeratedSpecVerifier : public ::testing::TestWithParam<DeratedPreset>
+{
+};
+
+TEST_P(DeratedSpecVerifier, ExhaustiveAgreement)
+{
+    // The Device runs whatever table the derated timings give, so each
+    // derating the designs use must pass the same proof as the presets.
+    const DeratedPreset p = GetParam();
+    const TimingParams timing =
+        timingFor(p.tech).derated(makeDesign(p.design).areaOverhead);
+    VerifyOptions opt;
+    opt.depth = 2;
+    opt.maxNodes = 5000;
+    const VerifyStats stats =
+        verifySpecAgainstChecker(smallGeom(), timing, opt);
+    EXPECT_TRUE(stats.ok()) << stats.summary()
+                            << (stats.failures.empty()
+                                    ? ""
+                                    : "\n" + stats.failures.front());
+    EXPECT_TRUE(stats.exhausted);
+}
+
+// RC-NVM-bit, RC-NVM-wd and SAM-sub derate by 0.15, 0.33 and 0.0721.
+// SAM-en's 0.0071 moves only RRAM's tWR (120 -> 121); every other
+// design's derating rounds to the plain preset.
+INSTANTIATE_TEST_SUITE_P(
+    DesignDeratings, DeratedSpecVerifier,
+    ::testing::Values(DeratedPreset{MemTech::DRAM, DesignKind::RcNvmBit},
+                      DeratedPreset{MemTech::DRAM, DesignKind::RcNvmWord},
+                      DeratedPreset{MemTech::DRAM, DesignKind::SamSub},
+                      DeratedPreset{MemTech::RRAM, DesignKind::RcNvmBit},
+                      DeratedPreset{MemTech::RRAM, DesignKind::RcNvmWord},
+                      DeratedPreset{MemTech::RRAM, DesignKind::SamSub},
+                      DeratedPreset{MemTech::RRAM, DesignKind::SamEn}),
+    [](const ::testing::TestParamInfo<DeratedPreset> &info) {
+        std::string name =
+            std::string(info.param.tech == MemTech::DRAM ? "ddr4_"
+                                                         : "rram_") +
+            designName(info.param.design);
+        std::erase(name, '-');
+        return name;
+    });
 
 TEST(SpecVerifier, DetectsInjectedSpecLooseness)
 {

@@ -354,7 +354,7 @@ main(int argc, char **argv)
             any_failed = any_failed || !report.allDone();
         }
     } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
+        reportUncaught(e);
         return 1;
     }
     return any_failed ? 1 : 0;

@@ -1,6 +1,8 @@
 #include "tools/samlint/checks.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -15,6 +17,9 @@ const char *const kCycle = "sam-cycle-accounting";
 const char *const kObserver = "sam-observer-discipline";
 const char *const kLocking = "sam-locking";
 const char *const kCodec = "sam-codec-construction";
+const char *const kGuard = "sam-include-guard";
+const char *const kIncludePath = "sam-include-path";
+const char *const kStats = "sam-stats-registration";
 
 bool
 startsWith(const std::string &s, const std::string &prefix)
@@ -37,10 +42,25 @@ tok(const SourceFile &f, std::size_t i)
     return i < f.tokens.size() ? f.tokens[i].text : empty;
 }
 
+/** The code checks' scope: the simulator and its tools. */
+bool
+codeScope(const std::string &path)
+{
+    return startsWith(path, "src/") || startsWith(path, "tools/");
+}
+
+bool
+isIdent(const std::string &s)
+{
+    return !s.empty() &&
+           (std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_');
+}
+
 /** Shared corpus-level state built once per run. */
 struct Corpus
 {
     const std::vector<SourceFile> &files;
+    std::unordered_map<std::string, const SourceFile *> byPath;
     /**
      * Files on the bit-identity surface: the runner/sim/controller
      * roots plus everything transitively included from them (and the
@@ -62,9 +82,7 @@ inSurfaceRoot(const std::string &path)
 void
 buildSurface(Corpus &corpus)
 {
-    std::unordered_map<std::string, const SourceFile *> byPath;
-    for (const SourceFile &f : corpus.files)
-        byPath.emplace(f.path, &f);
+    const auto &byPath = corpus.byPath;
     std::vector<const SourceFile *> frontier;
     for (const SourceFile &f : corpus.files) {
         if (inSurfaceRoot(f.path)) {
@@ -98,6 +116,8 @@ void
 buildCycleDirs(Corpus &corpus)
 {
     for (const SourceFile &f : corpus.files) {
+        if (!codeScope(f.path))
+            continue;
         const std::string dir = f.dir();
         for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
             if (tok(f, i) != "Cycle")
@@ -486,18 +506,147 @@ checkCodecConstruction(const SourceFile &f, Emit out)
     }
 }
 
+// --- sam-include-guard -------------------------------------------------
+
+/** SAM_<DIR>_<FILE>_HH for a header below src/. */
+std::string
+expectedGuard(const std::string &path)
+{
+    std::string guard = "SAM_";
+    for (const char c : path.substr(std::string("src/").size())) {
+        guard += c == '/' || c == '-' || c == '.'
+                     ? '_'
+                     : static_cast<char>(
+                           std::toupper(static_cast<unsigned char>(c)));
+    }
+    return guard;
+}
+
+void
+checkIncludeGuard(const SourceFile &f, Emit out)
+{
+    const std::vector<Directive> &d = f.directives;
+    // The guard is the first `#ifndef` with a `#define` on the next line.
+    std::size_t i = 0;
+    while (i + 1 < d.size() &&
+           !(d[i].name == "ifndef" && d[i + 1].name == "define" &&
+             d[i + 1].line == d[i].line + 1))
+        ++i;
+    if (i + 1 >= d.size()) {
+        emit(out, f, 1, kGuard, "missing #ifndef/#define include guard");
+        return;
+    }
+    const std::string guard = expectedGuard(f.path);
+    if (d[i].arg != guard) {
+        emit(out, f, d[i].line, kGuard,
+             "include guard '" + d[i].arg + "' should be '" + guard + "'");
+    } else if (d[i + 1].arg != guard) {
+        emit(out, f, d[i + 1].line, kGuard,
+             "guard #define '" + d[i + 1].arg +
+                 "' does not match #ifndef '" + guard + "'");
+    }
+}
+
+// --- sam-include-path --------------------------------------------------
+
+void
+checkIncludePath(const SourceFile &f, const std::string &root, Emit out)
+{
+    for (const Directive &d : f.directives) {
+        if (d.name != "include" || d.arg.size() < 2 || d.arg[0] != '"')
+            continue;
+        const std::string target = d.arg.substr(1, d.arg.find('"', 1) - 1);
+        if (std::filesystem::exists(std::filesystem::path(root) / target))
+            continue;
+        emit(out, f, d.line, kIncludePath,
+             "project include \"" + target +
+                 "\" must use the repo-root-relative form (src/..., "
+                 "bench/...)");
+    }
+}
+
+// --- sam-stats-registration --------------------------------------------
+
+/**
+ * Members registered in `f`: the last name of the member argument of
+ * each addCounter / addAccum call (`g.addCounter("x", s.reads, ...)`
+ * registers `reads`; the name literal is stripped by the lexer).
+ */
+void
+collectRegistered(const SourceFile &f, std::set<std::string> &names)
+{
+    for (std::size_t i = 0; i < f.tokens.size(); ++i) {
+        const std::string &s = tok(f, i);
+        if ((s != "addCounter" && s != "addAccum") || tok(f, i + 1) != "(" ||
+            tok(f, i + 2) != ",")
+            continue;
+        std::size_t k = i + 3;
+        while (isIdent(tok(f, k)) && tok(f, k + 1) == "." &&
+               isIdent(tok(f, k + 2)))
+            k += 2;
+        if (isIdent(tok(f, k)))
+            names.insert(tok(f, k));
+    }
+}
+
+void
+checkStatsRegistration(const Corpus &corpus, const SourceFile &f,
+                       Emit out)
+{
+    const std::string impl = f.path.substr(0, f.path.size() - 3) + ".cc";
+    std::set<std::string> registered;
+    collectRegistered(f, registered);
+    const auto it = corpus.byPath.find(impl);
+    if (it != corpus.byPath.end())
+        collectRegistered(*it->second, registered);
+    const std::string implName = impl.substr(impl.rfind('/') + 1);
+
+    const auto &t = f.tokens;
+    for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+        if (t[i].text != "struct" || !endsWith(t[i + 1].text, "Stats") ||
+            t[i + 2].text != "{")
+            continue;
+        // The struct body, and whether it declares registerIn.
+        const std::size_t open = i + 2;
+        std::size_t close = open + 1;
+        bool hasRegisterIn = false;
+        for (int depth = 1; close < t.size(); ++close) {
+            depth += t[close].text == "{";
+            depth -= t[close].text == "}";
+            if (depth == 0)
+                break;
+            hasRegisterIn = hasRegisterIn || t[close].text == "registerIn";
+        }
+        if (!hasRegisterIn)
+            continue;
+        for (std::size_t k = open + 1; k + 2 < close; ++k) {
+            if ((t[k].text != "Counter" && t[k].text != "Accum") ||
+                !isIdent(t[k + 1].text) || t[k + 2].text != ";" ||
+                registered.count(t[k + 1].text))
+                continue;
+            emit(out, f, t[k + 1].line, kStats,
+                 t[i + 1].text + "::" + t[k + 1].text +
+                     " is never registered via addCounter/addAccum in " +
+                     implName);
+        }
+    }
+}
+
 } // namespace
 
 std::vector<std::string>
 allCheckNames()
 {
-    return {kDeterminism, kCycle, kObserver, kLocking, kCodec};
+    return {kDeterminism, kCycle,       kObserver, kLocking,
+            kCodec,       kGuard,       kIncludePath, kStats};
 }
 
 std::vector<Finding>
 runChecks(const std::vector<SourceFile> &files, const LintOptions &opt)
 {
-    Corpus corpus{files, {}, {}};
+    Corpus corpus{files, {}, {}, {}};
+    for (const SourceFile &f : files)
+        corpus.byPath.emplace(f.path, &f);
     buildSurface(corpus);
     buildCycleDirs(corpus);
     const auto enabled = [&](const char *name) {
@@ -507,6 +656,16 @@ runChecks(const std::vector<SourceFile> &files, const LintOptions &opt)
     };
     std::vector<Finding> out;
     for (const SourceFile &f : files) {
+        if (enabled(kIncludePath))
+            checkIncludePath(f, opt.root, out);
+        if (!codeScope(f.path))
+            continue;
+        const bool srcHeader =
+            startsWith(f.path, "src/") && endsWith(f.path, ".hh");
+        if (enabled(kGuard) && srcHeader)
+            checkIncludeGuard(f, out);
+        if (enabled(kStats) && srcHeader)
+            checkStatsRegistration(corpus, f, out);
         if (enabled(kDeterminism) &&
             (opt.allSurface || corpus.surface.count(f.path)))
             checkDeterminism(f, out);

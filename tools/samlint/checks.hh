@@ -39,6 +39,26 @@
  *   instance declarations are flagged the same way (its tables are
  *   already shared compile-time constants).
  *
+ * sam-include-guard
+ *   A src/ header's include guard is SAM_<DIR>_<FILE>_HH (path below
+ *   src/, upper-cased, '-' and '.' as '_'), its first directives an
+ *   `#ifndef` and the matching `#define` on the next line.
+ *
+ * sam-include-path
+ *   A project include names its file by the repo-root-relative path
+ *   (src/dram/device.hh, bench/bench_common.hh), so every translation
+ *   unit compiles with the single repo-root include directory.
+ *
+ * sam-stats-registration
+ *   Every Counter / Accum member of a src/ header's *Stats struct that
+ *   has a registerIn() is registered with addCounter / addAccum in the
+ *   header or its .cc: an unregistered counter silently vanishes from
+ *   stats dumps.
+ *
+ * The first five checks and the stats check cover src/ and tools/;
+ * the include-path check covers every source under src/, tests/,
+ * tools/, bench/ and examples/.
+ *
  * All checks honor // NOLINT(check) and // NOLINTNEXTLINE(check).
  */
 
@@ -66,6 +86,8 @@ struct LintOptions
     std::vector<std::string> checks;
     /** Treat every file as on the bit-identity surface (fixtures). */
     bool allSurface = false;
+    /** Repository root that project includes resolve against. */
+    std::string root = ".";
 };
 
 /** Names of all registered checks. */

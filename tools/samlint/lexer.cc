@@ -167,6 +167,11 @@ lexString(const std::string &s, const std::string &rel_path)
                 break;
             }
             const std::string text = s.substr(i, end - i);
+            std::istringstream words(text.substr(1));
+            Directive d;
+            d.line = line;
+            words >> d.name >> d.arg;
+            out.directives.push_back(std::move(d));
             std::size_t inc = text.find("include");
             if (inc != std::string::npos) {
                 const std::size_t q1 = text.find('"', inc);

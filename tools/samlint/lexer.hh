@@ -6,7 +6,8 @@
  * a full frontend is not required.
  * The lexer produces a comment- and literal-stripped token stream with
  * line numbers, the file's `#include "src/..."` edges (for the
- * bit-identity surface reachability walk), and NOLINT / NOLINTNEXTLINE
+ * bit-identity surface reachability walk), its preprocessor directives
+ * (include guards, include paths), and NOLINT / NOLINTNEXTLINE
  * suppressions parsed out of comments, clang-tidy style:
  *
  *     overlay_.begin(); // NOLINT(sam-determinism): justified because...
@@ -31,6 +32,15 @@ struct Token
     unsigned line = 0;
 };
 
+/** One preprocessor directive: `#ifndef X` is {"ifndef", "X", line}. */
+struct Directive
+{
+    std::string name;
+    /** First word after the name, as written (`"a/b.hh"`, `<vector>`). */
+    std::string arg;
+    unsigned line = 0;
+};
+
 /** One lexed translation unit (or header). */
 struct SourceFile
 {
@@ -39,6 +49,8 @@ struct SourceFile
     std::vector<Token> tokens;
     /** Targets of `#include "..."` directives, as written. */
     std::vector<std::string> includes;
+    /** Every preprocessor directive, in file order. */
+    std::vector<Directive> directives;
     /** Line -> suppressed check names ("" suppresses all checks). */
     std::unordered_map<unsigned, std::vector<std::string>> nolint;
 

@@ -7,9 +7,10 @@
  *     samlint --root <repo-root> [--check name]... [paths...]
  *     samlint --list-checks
  *
- * With no explicit paths, every .hh/.cc under src/ and tools/ (minus
- * samlint's own fixtures) is scanned. Exit status is 1 when any
- * finding survives NOLINT suppression, 0 otherwise.
+ * With no explicit paths, every .hh/.cc/.h/.cpp under src/, tools/,
+ * tests/, bench/ and examples/ (minus samlint's own fixtures) is
+ * scanned; each check keeps to its own scope (checks.hh). Exit status
+ * is 1 when any finding survives NOLINT suppression, 0 otherwise.
  */
 
 #include <cstdio>
@@ -28,7 +29,7 @@ bool
 isSource(const fs::path &p)
 {
     const std::string ext = p.extension().string();
-    return ext == ".hh" || ext == ".cc";
+    return ext == ".hh" || ext == ".cc" || ext == ".h" || ext == ".cpp";
 }
 
 std::string
@@ -96,9 +97,10 @@ main(int argc, char **argv)
 
     const fs::path rootPath = fs::absolute(root);
     std::vector<samlint::SourceFile> files;
+    opt.root = rootPath.string();
     if (paths.empty()) {
-        collect(rootPath, rootPath / "src", files);
-        collect(rootPath, rootPath / "tools", files);
+        for (const char *dir : {"src", "tools", "tests", "bench", "examples"})
+            collect(rootPath, rootPath / dir, files);
     } else {
         for (const std::string &p : paths) {
             const fs::path abs =

@@ -510,7 +510,7 @@ main(int argc, char **argv)
             }
         }
     } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
+        reportUncaught(e);
         return 1;
     }
     return 0;

@@ -4,11 +4,13 @@
  *
  * Explores every reachable command sequence of a bounded depth (up to
  * state equivalence) over a configurable geometry and cross-examines
- * the declarative rule table (src/check/spec_model) against the
+ * the declarative rule table the Device schedules from
+ * (src/dram/timing_rules, through src/check/spec_model) against the
  * imperative ProtocolChecker at every step: agreement at the earliest
  * legal cycle and one cycle before it, state-rule agreement, deadlock
- * freedom, and upward-closure of legality in time (the monotonicity
- * property the event-driven scheduler relies on).
+ * freedom, upward-closure of legality in time (the monotonicity
+ * property the event-driven scheduler relies on), and agreement of the
+ * evaluator's forward bound with its rules read one by one.
  *
  * Exit status: 0 when every probe agreed, 1 on any disagreement,
  * 2 on usage errors.
