@@ -2,14 +2,16 @@
  * @file
  * google-benchmark microbenchmarks for the simulation hot paths this
  * perf work targets: arena trace append, the clean-line ECC read fast
- * path (on vs off), the allocation-free encode+store write path, an
- * end-to-end phase-1 + replay run reported in records/second, and the
- * protocol oracle reported in commands/second.
+ * path (on vs off), the allocation-free encode+store write path, the
+ * corrected read of a dead-chip line, an end-to-end phase-1 + replay
+ * run reported in records/second, FR-FCFS picks, and the protocol
+ * oracle reported in commands/second.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "src/dram/data_path.hh"
 #include "src/dram/device.hh"
 #include "src/ecc/ecc_engine.hh"
+#include "src/faults/fault_injector.hh"
+#include "src/faults/ras_engine.hh"
 #include "src/imdb/query.hh"
 #include "src/sim/trace.hh"
 
@@ -105,6 +109,72 @@ BM_WriteLineEncoded(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_WriteLineEncoded);
+
+/**
+ * Corrected reads as a chipkill run makes them: SSC-DSD with chip 5
+ * dead from cycle 0 (the injector's chipkill model), table lines in a
+ * lazy-parity snapshot, and a fresh DataPath (with its overlay) and
+ * RasEngine (with its error log) every kRunLines reads -- the size of
+ * one run -- so table growth and teardown are timed too. A run sweeps
+ * the table once and re-reads its start: first touches rebuild the
+ * parity, later reads come from the scrubbed overlay line; every read
+ * corrupts, decodes, logs and scrubs.
+ */
+void
+BM_FaultedRead(benchmark::State &state)
+{
+    constexpr EccScheme kScheme = EccScheme::SscDsd;
+    constexpr std::size_t kTableLines = 16384;
+    constexpr std::uint64_t kRunLines = 20000;
+    auto snap = std::make_shared<StoreSnapshot>();
+    snap->blobBytes =
+        kCachelineBytes + EccEngine::parityBytesFor(kScheme);
+    snap->lazyParity = true;
+    snap->appendRows(0, kTableLines, {LineRun{0, kTableLines}});
+    for (std::size_t s = 0; s < kTableLines; ++s) {
+        std::uint8_t *blob = snap->mutableBlob(s);
+        for (unsigned b = 0; b < kCachelineBytes; ++b)
+            blob[b] = static_cast<std::uint8_t>(s * 131 + b);
+    }
+    FaultConfig fc;
+    fc.model = FaultModel::Chipkill;
+    fc.chipkillAt = 0;
+    fc.chipkillChip = 5;
+
+    struct Run
+    {
+        DataPath dp{kScheme};
+        RasEngine ras;
+        FaultInjector injector;
+
+        Run(const FaultConfig &faults,
+            const std::shared_ptr<const StoreSnapshot> &table)
+            : injector(faults)
+        {
+            dp.setRasPolicy(&ras);
+            dp.setFaultHook(&injector);
+            dp.store().install(table);
+        }
+    };
+    std::unique_ptr<Run> run;
+    std::uint8_t out[kCachelineBytes];
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        const std::uint64_t i = n % kRunLines;
+        if (i == 0) {
+            run.reset();
+            run = std::make_unique<Run>(fc, snap);
+        }
+        run->dp.setNow(i * 10);
+        const ReadFlags f = run->dp.readLineInto(
+            (i % kTableLines) * kCachelineBytes, out);
+        benchmark::DoNotOptimize(f.corrected);
+        benchmark::DoNotOptimize(out[0]);
+        ++n;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FaultedRead);
 
 /**
  * End-to-end phase-1 + MSHR-bounded replay of one design point,
@@ -253,6 +323,52 @@ BM_PopBestOpenRowHeavy(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PopBestOpenRowHeavy);
+
+/**
+ * FR-FCFS picks from a write queue held 256 deep by scrub writebacks,
+ * the shape after a chip dies: writes to a few repeated rows per bank,
+ * so an open row usually has several candidates and the row-hit index
+ * holds long runs. Each pick opens its own row, as the Device would.
+ */
+void
+BM_PopBestScrubHeavy(benchmark::State &state)
+{
+    const Geometry geom;
+    RequestQueue queue(geom);
+    const unsigned total_banks = geom.totalBanks();
+    std::uint64_t id = 0;
+    Cycle now = 0;
+    auto makeScrub = [&](std::uint64_t k) {
+        MemRequest req;
+        req.id = ++id;
+        req.type = AccessType::Write;
+        req.isScrub = true;
+        req.arrival = now + k % 3;
+        const unsigned fb = static_cast<unsigned>(k * 5 % total_banks);
+        MappedAddr &a = req.device.addr;
+        a.rank = fb / geom.banksPerRank();
+        a.bankGroup = fb % geom.banksPerRank() / geom.banksPerGroup;
+        a.bank = fb % geom.banksPerGroup;
+        a.row = 100 + k / 7 % 4;
+        req.device.isWrite = true;
+        return req;
+    };
+    const unsigned kDepth = 256;
+    std::uint64_t n = 0;
+    for (; n < kDepth; ++n)
+        queue.push(makeScrub(n));
+    bool row_hit = false;
+    for (auto _ : state) {
+        const MemRequest req = queue.popBest(now, row_hit);
+        benchmark::DoNotOptimize(req.id);
+        queue.noteRowOpened(req.device.addr.flatBank(geom),
+                            req.device.addr.row);
+        queue.push(makeScrub(n++));
+        now += 2;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(n - kDepth));
+}
+BENCHMARK(BM_PopBestScrubHeavy);
 
 /**
  * The protocol oracle over a ~100k-command stream of seeded random

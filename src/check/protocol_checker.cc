@@ -85,7 +85,15 @@ ProtocolChecker::observe(const Command &cmd)
                    (cmd.addr.bankGroup < geom_.bankGroups &&
                     cmd.addr.bank < geom_.banksPerGroup),
                "observed command outside geometry");
-    commands_.push_back(cmd);
+    if (chunks_.empty() || chunks_.back().size() == kChunk) {
+        // The first chunk grows like any vector (short runs stay
+        // small); later ones start at full size.
+        chunks_.emplace_back();
+        if (chunks_.size() > 1)
+            chunks_.back().reserve(kChunk);
+    }
+    chunks_.back().push_back(cmd);
+    ++count_;
     checked_ = false;
 }
 
@@ -118,7 +126,7 @@ ProtocolChecker::report(std::size_t max_violations)
     const auto &v = violations();
     std::ostringstream oss;
     oss << "ProtocolChecker: " << v.size() << " violation(s) over "
-        << commands_.size() << " commands";
+        << count_ << " commands";
     const std::size_t shown = std::min(v.size(), max_violations);
     for (std::size_t i = 0; i < shown; ++i) {
         oss << "\n  [" << v[i].index << "] " << v[i].constraint << ": "
@@ -417,7 +425,7 @@ ProtocolChecker::checkDataBus(const std::vector<Burst> &bursts)
     std::vector<const Burst *> lastRead(
         static_cast<std::size_t>(geom_.channels) * geom_.ranks, nullptr);
     for (const Burst &b : bursts) {
-        const Command &cmd = commands_[b.obs];
+        const Command &cmd = command(b.obs);
         const Cycle end = b.start + timing_.tBL;
         const Burst *prev = last[b.channel];
         if (prev) {
@@ -463,10 +471,10 @@ ProtocolChecker::run()
     // The engine emits commands in commit order; re-establish wall-clock
     // order before replaying the stream through the state machines.
     std::vector<SortKey> order;
-    order.reserve(commands_.size());
+    order.reserve(count_);
     std::size_t cas_count = 0;
-    for (std::size_t i = 0; i < commands_.size(); ++i) {
-        const Command &cmd = commands_[i];
+    for (std::size_t i = 0; i < count_; ++i) {
+        const Command &cmd = command(i);
         const std::uint64_t prio = kindPriority(cmd.kind);
         order.push_back({cmd.at, (prio << kObsBits) | i});
         cas_count += cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr;
@@ -490,7 +498,7 @@ ProtocolChecker::run()
     bursts.reserve(cas_count);
     for (std::size_t i = 0; i < order.size(); ++i) {
         const std::size_t obs = order[i].tie & kObsMask;
-        const Command &cmd = commands_[obs];
+        const Command &cmd = command(obs);
         const std::size_t rank_id =
             static_cast<std::size_t>(cmd.addr.channel) * geom_.ranks +
             cmd.addr.rank;

@@ -106,7 +106,7 @@ class ProtocolChecker
     /** True when the whole observed stream is protocol-legal. */
     bool clean() { return violations().empty(); }
 
-    std::size_t commandCount() const { return commands_.size(); }
+    std::size_t commandCount() const { return count_; }
 
     /** Multi-line report of up to `max_violations` violations. */
     std::string report(std::size_t max_violations = 20);
@@ -146,8 +146,8 @@ class ProtocolChecker
 
     /**
      * One derived data-bus burst, checked in a second pass. Its data
-     * occupies [start, start + tBL); the CAS itself stays in
-     * `commands_` and is fetched only to report a violation.
+     * occupies [start, start + tBL); the CAS itself stays in the
+     * observed stream and is fetched only to report a violation.
      */
     struct Burst
     {
@@ -183,10 +183,27 @@ class ProtocolChecker
                   std::size_t index);
     void checkDataBus(const std::vector<Burst> &bursts);
 
+    /** Observed command number `obs` (observation order). */
+    const Command &command(std::size_t obs) const
+    {
+        return chunks_[obs >> kChunkBits][obs & (kChunk - 1)];
+    }
+
+    /** Commands per chunk of the observed stream. */
+    static constexpr std::size_t kChunkBits = 12;
+    static constexpr std::size_t kChunk = std::size_t{1} << kChunkBits;
+
     Geometry geom_;
     TimingParams timing_;
     Device *device_ = nullptr; ///< Attached device (for detach).
-    std::vector<Command> commands_; ///< In observation order.
+    /**
+     * The observed stream in observation order, kChunk commands per
+     * chunk (all full but the last): a long run grows by one chunk at
+     * a time and never moves the commands it already holds, where one
+     * vector would copy the whole stream at every doubling.
+     */
+    std::vector<std::vector<Command>> chunks_;
+    std::size_t count_ = 0; ///< Commands observed.
     std::vector<Violation> violations_;
     bool checked_ = false; ///< Set only after a complete run().
 };

@@ -40,10 +40,11 @@ isStride(AccessType t)
 
 /**
  * Upper bound on source lines of one request: the widest stride gather
- * is G = 64B / 8B = 8 lines (SscDsd); 16 leaves headroom for future
- * schemes without another request-size bump.
+ * is G = 64B / 8B = 8 lines (SscDsd's 4-bit granularity). Requests are
+ * moved through the controller's queues by value, so the inline list
+ * holds no more than that.
  */
-constexpr unsigned kMaxGatherLines = 16;
+constexpr unsigned kMaxGatherLines = 8;
 
 /** One line-granular (or stride-line-granular) memory request. */
 struct MemRequest

@@ -9,27 +9,36 @@
  *    arrived ("pending");
  *  - a min-heap by insertion sequence of arrived requests
  *    ("eligible") -- the FCFS order;
- *  - per-(bank, row) buckets of arrived requests, each a min-heap by
- *    insertion sequence -- the row-hit candidates, probed only for
- *    banks whose open row matches.
+ *  - the row-hit index: per flat bank, one run per row that has
+ *    arrived requests, each run an intrusive list of those requests
+ *    in insertion order, linked through the queue's own slots. The
+ *    head of the run of a bank's open row is that bank's rule-1
+ *    candidate.
  *
- * Rule 1 no longer scans every bank of the geometry: the queue keeps
- * its own open-row image per flat bank, fed by the Device's
- * RowStateListener transitions (the controller forwards them), plus a
- * per-bank eligible-request count. A "hot" list holds the banks that
- * are both open and have eligible requests; a pick probes only those,
- * lazily dropping banks that stopped qualifying, so a pick costs
- * O(hot) instead of O(totalBanks). Every System runs the default
- * Geometry's 32 banks (1 channel x 2 ranks x 16 banks) of which a
- * handful are hot at any time; BM_PopBestOpenRowHeavy measures a
- * 256-bank geometry.
+ * The row-hit index lives in storage the queue already owns: request
+ * slots are recycled through a free list and a bank's run array keeps
+ * its capacity, so once the backlog and the rows per bank have reached
+ * their peak, no push, pick or row transition allocates -- a scrub
+ * storm filling the write queue with writes to a few rows included.
+ * A pick unlinks its request from its run at once, so the index holds
+ * no stale entries.
+ *
+ * Rule 1 does not scan every bank of the geometry: each bank caches
+ * which of its runs (if any) targets its open row, fed by the Device's
+ * RowStateListener transitions (the controller forwards them). A "hot"
+ * list holds the banks whose open row has arrived requests; a pick
+ * probes only those, lazily dropping banks that stopped qualifying, so
+ * a pick costs O(hot) instead of O(totalBanks). Every System runs the
+ * default Geometry's 32 banks (1 channel x 2 ranks x 16 banks) of
+ * which a handful are hot at any time; BM_PopBestOpenRowHeavy measures
+ * a 256-bank geometry and BM_PopBestScrubHeavy a write queue of scrubs
+ * to repeated rows.
  *
  * Eligibility is monotone (the controller clock never runs backwards),
- * so a request moves pending -> eligible exactly once. Heap entries
- * are removed lazily: a pick invalidates the request's entries in the
- * other indexes, which are skipped when probed and compacted away once
- * they outnumber live entries, keeping memory proportional to the
- * actual backlog.
+ * so a request moves pending -> eligible exactly once. The eligible
+ * heap removes entries lazily: a rule-1 pick leaves the request's
+ * entry behind, skipped when it surfaces and compacted away in place
+ * once stale entries outnumber live ones.
  *
  * The pick rule is bit-identical to the original scan's:
  *   1. the oldest-inserted arrived request targeting its bank's open
@@ -42,8 +51,8 @@
 #define SAM_CONTROLLER_REQUEST_QUEUE_HH
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/controller/request.hh"
@@ -77,14 +86,40 @@ class RequestQueue
   private:
     enum class SlotState : std::uint8_t { Free, Pending, Eligible };
 
+    /** Null slot link / run index. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    /** Sentinel for a bank with no open row. */
+    static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
+
     struct Slot
     {
         MemRequest req;
         std::uint64_t seq = 0;
-        /** Flat bank of the request; cached at promotion so take()
-         *  can decrement the bank's eligible count. */
+        /** Flat bank of the request; cached at promotion. */
         std::uint32_t flatBank = 0;
+        /** Older / younger neighbour in the request's row run. */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
         SlotState state = SlotState::Free;
+    };
+
+    /** A bank's arrived requests to one row, oldest first. */
+    struct RowRun
+    {
+        std::uint64_t row = 0;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
+    struct Bank
+    {
+        /** One run per row with arrived requests, in no order. */
+        std::vector<RowRun> runs;
+        std::uint64_t openRow = kNoRow;
+        /** Index in `runs` of the open row's run, or kNil. */
+        std::uint32_t openRun = kNil;
+        /** Listed in hotBanks_. */
+        bool hot = false;
     };
 
     /** Heap entry: insertion order first (FCFS). */
@@ -92,36 +127,25 @@ class RequestQueue
     /** Heap entry: arrival first, insertion order second. */
     using ArrEntry = std::tuple<Cycle, std::uint64_t, std::uint32_t>;
 
-    template <typename T>
-    using MinHeap = std::priority_queue<T, std::vector<T>,
-                                        std::greater<T>>;
-
-    std::uint64_t bucketKey(const MappedAddr &addr) const
-    {
-        return (static_cast<std::uint64_t>(addr.flatBank(geom_)) << 40) |
-               addr.row;
-    }
-
-    bool stale(const SeqEntry &e, SlotState expect) const
-    {
-        const Slot &s = slots_[e.second];
-        return s.state != expect || s.seq != e.first;
-    }
+    /** Index in `bank.runs` of the run for `row`, or kNil. */
+    static std::uint32_t findRun(const Bank &bank, std::uint64_t row);
 
     /** Move every request with arrival <= now into the arrived indexes. */
     void promote(Cycle now);
 
+    /** Link an arrived slot into its bank's run for its row. */
+    void linkRun(std::uint32_t slot_idx);
+    /** Unlink an arrived slot from its run, dropping an emptied run. */
+    void unlinkRun(std::uint32_t slot_idx);
+
     /** Detach the request from its slot and free the slot. */
     MemRequest take(std::uint32_t slot_idx);
 
-    /** Rebuild the arrived indexes once stale entries dominate. */
+    /** Drop stale eligible-heap entries once they dominate. */
     void maybeCompact();
 
-    /** Add the bank to the hot list if it qualifies and is absent. */
+    /** List the bank as hot if its open row has a run. */
     void maybeHot(std::size_t flat_bank);
-
-    /** Sentinel for a bank with no open row. */
-    static constexpr std::uint64_t kNoRow = ~std::uint64_t{0};
 
     Geometry geom_;
 
@@ -131,18 +155,12 @@ class RequestQueue
     std::size_t live_ = 0;          ///< Queued requests (all states).
     std::size_t eligibleLive_ = 0;  ///< Queued requests in Eligible.
 
-    MinHeap<ArrEntry> pending_;
-    MinHeap<SeqEntry> eligible_;
-    std::unordered_map<std::uint64_t, MinHeap<SeqEntry>> rowBuckets_;
-    std::size_t bucketEntries_ = 0;
+    /** Min-heaps (std::push_heap with std::greater). */
+    std::vector<ArrEntry> pending_;
+    std::vector<SeqEntry> eligible_;
 
-    /** Open row per flat bank (kNoRow when closed). */
-    std::vector<std::uint64_t> openRow_;
-    /** Eligible (arrived, un-picked) requests per flat bank. */
-    std::vector<std::uint32_t> bankEligible_;
-    /** Banks that were open with eligible requests when last touched;
-     *  membership flag + unordered list, pruned lazily in popBest. */
-    std::vector<std::uint8_t> inHot_;
+    std::vector<Bank> banks_;
+    /** Banks that were hot when last touched; pruned lazily. */
     std::vector<std::uint32_t> hotBanks_;
 };
 

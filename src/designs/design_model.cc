@@ -21,6 +21,8 @@ DesignModel::DesignModel(const DesignSpec &spec,
 {
     sam_assert(stride_unit > 0 && kCachelineBytes % stride_unit == 0,
                "bad stride unit ", stride_unit);
+    if (spec_.embeddedEcc)
+        recentEcc_.resize(mapping_.geometry().totalBanks());
 }
 
 unsigned
@@ -32,24 +34,22 @@ DesignModel::embeddedEccBursts(const MappedAddr &m, Addr line_addr,
     // The controller keeps a small per-bank cache of recently fetched
     // embedded-ECC lines (each covers 8 data lines); a miss costs one
     // extra burst, and writes cost an ECC write-back burst.
-    const unsigned bank = m.flatBank(mapping_.geometry());
     const Addr ecc_line = line_addr / (kEccCoverage * kCachelineBytes);
-    unsigned bursts = 0;
-    auto &recent = lastEccLine_[bank];
-    bool hit = false;
-    for (std::size_t i = 0; i < recent.size(); ++i) {
-        if (recent[i] == ecc_line) {
-            hit = true;
-            recent.erase(recent.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            break;
-        }
-    }
-    if (!hit)
-        bursts += 1; // fetch the ECC line
-    recent.push_back(ecc_line);
-    if (recent.size() > 4)
-        recent.erase(recent.begin());
+    RecentEccLines &recent = recentEcc_[m.flatBank(mapping_.geometry())];
+    // Find the line (a hit) or evict the oldest (a miss when full),
+    // then move what follows down and make the line the newest.
+    unsigned i = 0;
+    while (i < recent.count && recent.lines[i] != ecc_line)
+        ++i;
+    const bool hit = i < recent.count;
+    if (!hit && recent.count < kRecentEccLines)
+        ++recent.count;
+    else if (!hit)
+        i = 0;
+    for (; i + 1 < recent.count; ++i)
+        recent.lines[i] = recent.lines[i + 1];
+    recent.lines[recent.count - 1] = ecc_line;
+    unsigned bursts = hit ? 0 : 1; // fetch the ECC line on a miss
     if (is_write)
         bursts += 1; // write the updated ECC back
     return bursts;

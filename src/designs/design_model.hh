@@ -10,8 +10,8 @@
 #ifndef SAM_DESIGNS_DESIGN_MODEL_HH
 #define SAM_DESIGNS_DESIGN_MODEL_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/gather.hh"
@@ -62,15 +62,26 @@ class DesignModel
     void
     reset()
     {
-        lastEccLine_.clear();
+        for (RecentEccLines &recent : recentEcc_)
+            recent.count = 0;
         collectToggle_ = false;
     }
 
   private:
+    /** ECC lines the controller holds per bank (GS-DRAM-ecc). */
+    static constexpr unsigned kRecentEccLines = 4;
+
+    /** One bank's recently fetched ECC lines, oldest first. */
+    struct RecentEccLines
+    {
+        std::array<Addr, kRecentEccLines> lines{};
+        unsigned count = 0;
+    };
+
     /**
      * Extra bursts for GS-DRAM-ecc's embedded in-page ECC: one ECC-line
-     * fetch whenever the access leaves the last-touched ECC line of its
-     * bank, plus an ECC update burst on writes.
+     * fetch whenever the access misses the bank's kRecentEccLines most
+     * recently used ECC lines, plus an ECC update burst on writes.
      */
     unsigned embeddedEccBursts(const MappedAddr &m, Addr line_addr,
                                bool is_write);
@@ -85,7 +96,8 @@ class DesignModel
     DesignSpec spec_;
     const AddressMapping &mapping_;
     unsigned strideUnit_;
-    std::unordered_map<unsigned, std::vector<Addr>> lastEccLine_;
+    /** Per flat bank; empty unless the design embeds its ECC. */
+    std::vector<RecentEccLines> recentEcc_;
     bool collectToggle_ = false;
 };
 

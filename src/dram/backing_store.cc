@@ -131,10 +131,7 @@ BackingStore::materializeBlob(const StoreSnapshot &layer,
 const BackingStore::OverlayLine *
 BackingStore::findOverlay(Addr addr) const
 {
-    if (overlay_.empty())
-        return nullptr;
-    auto it = overlay_.find(addr);
-    return it != overlay_.end() ? &it->second : nullptr;
+    return overlay_.find(addr);
 }
 
 const StoreSnapshot *
@@ -208,8 +205,8 @@ BackingStore::writeLine(Addr line_addr, const std::uint8_t *blob,
 {
     sam_assert(line_addr % kCachelineBytes == 0,
                "unaligned line write: ", line_addr);
-    auto [it, inserted] =
-        overlay_.try_emplace(line_addr, OverlayLine{arena_.size(), clean});
+    auto [line, inserted] =
+        overlay_.tryEmplace(line_addr, OverlayLine{arena_.size(), clean});
     if (inserted) {
         arena_.insert(arena_.end(), blob, blob + blobBytes_);
         overlayAll_.push_back(line_addr);
@@ -218,8 +215,8 @@ BackingStore::writeLine(Addr line_addr, const std::uint8_t *blob,
     } else {
         // Rewrite in place: the arena slot is exclusively ours
         // (installed layers never alias the overlay arena).
-        std::memcpy(arena_.data() + it->second.offset, blob, blobBytes_);
-        it->second.clean = clean;
+        std::memcpy(arena_.data() + line->offset, blob, blobBytes_);
+        line->clean = clean;
     }
 }
 
@@ -236,23 +233,22 @@ BackingStore::corruptLine(Addr line_addr,
     sam_assert(line_addr % kCachelineBytes == 0,
                "unaligned line corrupt: ", line_addr);
     sam_assert(xor_mask.size() == blobBytes_, "mask size mismatch");
-    auto it = overlay_.find(line_addr);
-    if (it == overlay_.end()) {
+    auto [line, inserted] =
+        overlay_.tryEmplace(line_addr, OverlayLine{arena_.size(), false});
+    if (inserted) {
         // Copy-on-write into the overlay: the current blob may be
         // shared with a table snapshot installed into other systems.
-        const std::size_t offset = arena_.size();
-        arena_.resize(offset + blobBytes_, 0);
+        arena_.resize(line->offset + blobBytes_, 0);
         std::size_t slot = 0;
-        if (const StoreSnapshot *layer = findLayer(line_addr, slot))
-            materializeBlob(*layer, slot, arena_.data() + offset);
-        it = overlay_.emplace(line_addr, OverlayLine{offset, false})
-                 .first;
-        overlayAll_.push_back(line_addr);
-        if (!inAnyLayer(line_addr))
+        if (const StoreSnapshot *layer = findLayer(line_addr, slot)) {
+            materializeBlob(*layer, slot, arena_.data() + line->offset);
+        } else {
             overlayOrder_.push_back(line_addr);
+        }
+        overlayAll_.push_back(line_addr);
     }
-    it->second.clean = false;
-    std::uint8_t *blob = arena_.data() + it->second.offset;
+    line->clean = false;
+    std::uint8_t *blob = arena_.data() + line->offset;
     for (std::size_t i = 0; i < blobBytes_; ++i)
         blob[i] ^= xor_mask[i];
 }
@@ -287,10 +283,9 @@ BackingStore::install(std::shared_ptr<const StoreSnapshot> snap)
                "snapshot blob size mismatch");
     // Revert overlay writes to lines the snapshot covers, so a
     // re-install after a write query restores the clean table. Walk
-    // overlayAll_ (insertion order), not overlay_ itself: hash-order
-    // iteration is flagged by sam-determinism, and although the erase
-    // set is order-independent today, keeping hash order unobservable
-    // is the invariant the bit-identity guarantee rests on.
+    // overlayAll_ (insertion order): overlay_ has no iteration, so
+    // hash order stays unobservable, the invariant the bit-identity
+    // guarantee rests on.
     if (!overlay_.empty()) {
         const auto covered = [&](Addr a) {
             return snap->find(a) != StoreSnapshot::npos;
@@ -298,7 +293,7 @@ BackingStore::install(std::shared_ptr<const StoreSnapshot> snap)
         bool erased = false;
         for (Addr a : overlayAll_) {
             if (covered(a))
-                erased = overlay_.erase(a) != 0 || erased;
+                erased = overlay_.erase(a) || erased;
         }
         if (erased) {
             overlayAll_.erase(std::remove_if(overlayAll_.begin(),

@@ -25,10 +25,10 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/addr_map.hh"
 #include "src/common/random.hh"
 #include "src/common/types.hh"
 
@@ -279,8 +279,12 @@ class BackingStore
     const EccEngine *parityEcc_ = nullptr;
     /** Immutable shared base layers, oldest first. */
     std::vector<std::shared_ptr<const StoreSnapshot>> layers_;
-    /** Lines written (or corrupted) in this store; checked first. */
-    std::unordered_map<Addr, OverlayLine> overlay_;
+    /**
+     * Lines written (or corrupted) in this store; checked first. A
+     * flat table: a read probes it once, and a first write inserts
+     * without a heap node.
+     */
+    AddrMap<OverlayLine> overlay_;
     /**
      * Blob bytes of every overlay line, blobBytes_ per slot. One flat
      * allocation instead of a heap vector per written line: the write
@@ -291,8 +295,8 @@ class BackingStore
      */
     std::vector<std::uint8_t> arena_;
     /**
-     * Insertion order of every overlay line (the deterministic
-     * iteration view of overlay_ -- hash order must never become
+     * Insertion order of every overlay line (the iteration view of
+     * overlay_, which has none: hash order must never become
      * observable, see sam-determinism in tools/samlint).
      */
     std::vector<Addr> overlayAll_;

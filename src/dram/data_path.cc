@@ -47,11 +47,14 @@ DataPath::fetchInto(Addr line_addr, std::uint8_t *out64, bool rmw)
     const bool provably_clean =
         fastPath_ && ref.clean && failedChips_.empty();
 
-    if (provably_clean && !faults_) {
+    if (provably_clean &&
+        (!faults_ || faults_->leavesNextReadUntouched())) {
         // Intact encoder output with nothing in the way: copy the data
         // bytes straight out of the store. A full decode would return
         // Clean, bump exactly these counters, and leave the bytes
-        // untouched.
+        // untouched. A hook that will not touch this read would make
+        // no draw either, so skipping it (and the lazy-parity rebuild
+        // the blob would need) changes nothing downstream.
         ++stats_.linesChecked;
         ecc_.noteCleanLine();
         if (ref.data)
@@ -68,7 +71,8 @@ DataPath::fetchInto(Addr line_addr, std::uint8_t *out64, bool rmw)
         if (ref.data && ref.lazyParity) {
             // Lazy-parity snapshot line: the stored tail is a zero
             // placeholder, so rebuild the full codeword from the data
-            // bytes before anything inspects or corrupts it.
+            // bytes before anything inspects or corrupts it. Only
+            // reads that something corrupts or decodes get here.
             ecc_.encodeLineInto(ref.data, blobScratch_.data());
         } else if (ref.data) {
             std::memcpy(blobScratch_.data(), ref.data, blob_bytes);

@@ -187,9 +187,10 @@ class DataPath
      * the line, which heals it anyway.
      *
      * Fast path: a line whose stored blob carries the clean tag, with
-     * no failed chips and no in-flight fault injection, provably
-     * decodes Clean -- the decode is skipped and only the counters a
-     * Clean decode would bump are advanced.
+     * no failed chips and a fault hook (if any) that will leave this
+     * read untouched, provably decodes Clean -- its data bytes are
+     * copied, no blob is built (so no lazy parity is rebuilt), and
+     * only the counters a Clean decode would bump are advanced.
      */
     ReadFlags fetchInto(Addr line_addr, std::uint8_t *out64,
                         bool rmw = false);

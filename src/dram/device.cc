@@ -89,8 +89,9 @@ Cycle
 Device::issue(CmdKind kind, const MappedAddr &addr, Cycle floor,
               AccessMode mode)
 {
-    const Cycle at = rules_.earliest(kind, addr, floor);
-    rules_.commit(kind, addr, at);
+    const TimingRules::Site site = rules_.site(addr);
+    const Cycle at = rules_.earliest(kind, site, floor);
+    rules_.commit(kind, site, at);
     emit(kind, at, addr, mode);
     return at;
 }

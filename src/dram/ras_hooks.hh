@@ -43,6 +43,14 @@ class FaultInjectionHook
      */
     virtual bool beforeDecode(Addr line, std::vector<std::uint8_t> &blob,
                               const EccEngine &ecc) = 0;
+
+    /**
+     * True when beforeDecode() on the next read attempt would neither
+     * draw from the fault model's RNG nor modify the blob, so a
+     * provably clean line may skip it -- and with it building the
+     * blob -- without changing any later draw. Asked after tick().
+     */
+    virtual bool leavesNextReadUntouched() const = 0;
 };
 
 /**

@@ -245,24 +245,25 @@ void
 TimingRules::forEachBound(CmdKind kind, const MappedAddr &addr,
                           Fn fn) const
 {
+    const Site at_site = site(addr);
     for (std::size_t i = 0; i < rules_.size(); ++i) {
         const SpecRule &r = rules_[i];
         if (r.next != kind)
             continue;
         const auto visit = [&](const ScopeState &scope) {
-            const unsigned p = kindIx(r.prev);
-            if (scope.issued[p])
-                fn(i, scope.last[p] + r.gap);
+            const Cycle last_plus_1 = scope.lastPlus1[kindIx(r.prev)];
+            if (last_plus_1 != 0)
+                fn(i, last_plus_1 - 1 + r.gap);
         };
         switch (r.scope) {
           case SpecScope::Bank:
-            visit(banks_[bankId(addr)]);
+            visit(banks_[at_site.bank]);
             break;
           case SpecScope::BankGroup:
-            visit(groups_[groupId(addr)]);
+            visit(groups_[at_site.group]);
             break;
           case SpecScope::Rank:
-            visit(ranks_[rankId(addr)]);
+            visit(ranks_[at_site.rank]);
             break;
           case SpecScope::Channel:
             for (unsigned rk = 0; rk < geom_.ranks; ++rk) {
@@ -270,14 +271,12 @@ TimingRules::forEachBound(CmdKind kind, const MappedAddr &addr,
                     continue;
                 if (r.rankRel == SpecRankRel::Diff && rk == addr.rank)
                     continue;
-                visit(ranks_[static_cast<std::size_t>(addr.channel) *
-                                 geom_.ranks +
-                             rk]);
+                visit(ranks_[at_site.channelRanks + rk]);
             }
             break;
         }
     }
-    const RankState &rank = ranks_[rankId(addr)];
+    const RankState &rank = ranks_[at_site.rank];
     if (kind == CmdKind::Act && rank.actWindowSize == rank.actWindow.size())
         fn(rules_.size(), rank.actWindow[0] + tFAW_);
 }
@@ -321,8 +320,8 @@ TimingRules::encodeHistory(std::string &out, Cycle now) const
     // any rule and is merged with "never happened".
     const auto ages = [&](const ScopeState &scope) {
         for (unsigned k = 0; k < kKinds; ++k) {
-            const Cycle a = now - scope.last[k];
-            u32(!scope.issued[k] || a >= horizon_
+            const Cycle a = now - (scope.lastPlus1[k] - 1);
+            u32(scope.lastPlus1[k] == 0 || a >= horizon_
                     ? std::uint32_t(0xffffffffu)
                     : static_cast<std::uint32_t>(a));
         }

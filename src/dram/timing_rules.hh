@@ -91,15 +91,41 @@ class TimingRules
     TimingRules(const Geometry &geom, const TimingParams &timing);
 
     /**
+     * Flat ids of the scopes one address names: its rank, bank group
+     * and bank, and the first rank of its channel. An issuer computes
+     * them once per command and passes them to both earliest() and
+     * commit().
+     */
+    struct Site
+    {
+        std::size_t rank = 0;
+        std::size_t group = 0;
+        std::size_t bank = 0;
+        std::size_t channelRanks = 0;
+    };
+
+    Site site(const MappedAddr &addr) const;
+
+    /**
      * Earliest cycle >= `floor` at which a `kind` command to `addr`
      * satisfies every rule (only channel/rank matter for REF and mode
      * switches).
      */
     Cycle earliest(CmdKind kind, const MappedAddr &addr,
-                   Cycle floor) const;
+                   Cycle floor) const
+    {
+        return earliest(kind, site(addr), floor);
+    }
+
+    Cycle earliest(CmdKind kind, const Site &at_site, Cycle floor) const;
 
     /** Record a `kind` command to `addr` issued at `at`. */
-    void commit(CmdKind kind, const MappedAddr &addr, Cycle at);
+    void commit(CmdKind kind, const MappedAddr &addr, Cycle at)
+    {
+        commit(kind, site(addr), at);
+    }
+
+    void commit(CmdKind kind, const Site &at_site, Cycle at);
 
     /**
      * The largest bound any rule (or the tFAW window) places on a
@@ -157,9 +183,11 @@ class TimingRules
     {
         /** Earliest next issue per kind (the compiled table). */
         Ready ready{};
-        /** Latest issue per kind, where `issued` (rule by rule). */
-        std::array<Cycle, kKinds> last{};
-        std::array<bool, kKinds> issued{};
+        /**
+         * Latest issue cycle + 1 per kind, 0 when never issued (read
+         * rule by rule): one store per commit records both.
+         */
+        std::array<Cycle, kKinds> lastPlus1{};
     };
 
     struct RankState : ScopeState
@@ -169,9 +197,6 @@ class TimingRules
         unsigned actWindowSize = 0;
     };
 
-    std::size_t rankId(const MappedAddr &a) const;
-    std::size_t groupId(const MappedAddr &a) const;
-    std::size_t bankId(const MappedAddr &a) const;
     /** Kinds addressed to a specific bank (Act/Pre/Rd/Wr). */
     static bool bankKind(CmdKind kind);
     static void raise(Ready &ready, const Gaps &gaps, Cycle at);
@@ -197,22 +222,15 @@ class TimingRules
 // earliest() and commit() run on every command the Device issues, so
 // they are defined here, where device.cc can inline them.
 
-inline std::size_t
-TimingRules::rankId(const MappedAddr &a) const
+inline TimingRules::Site
+TimingRules::site(const MappedAddr &a) const
 {
-    return static_cast<std::size_t>(a.channel) * geom_.ranks + a.rank;
-}
-
-inline std::size_t
-TimingRules::groupId(const MappedAddr &a) const
-{
-    return rankId(a) * geom_.bankGroups + a.bankGroup;
-}
-
-inline std::size_t
-TimingRules::bankId(const MappedAddr &a) const
-{
-    return rankId(a) * geom_.banksPerRank() + a.bankInRank(geom_);
+    Site s;
+    s.channelRanks = static_cast<std::size_t>(a.channel) * geom_.ranks;
+    s.rank = s.channelRanks + a.rank;
+    s.group = s.rank * geom_.bankGroups + a.bankGroup;
+    s.bank = s.rank * geom_.banksPerRank() + a.bankInRank(geom_);
+    return s;
 }
 
 inline bool
@@ -232,15 +250,14 @@ TimingRules::raise(Ready &ready, const Gaps &gaps, Cycle at)
 }
 
 inline Cycle
-TimingRules::earliest(CmdKind kind, const MappedAddr &addr,
-                      Cycle floor) const
+TimingRules::earliest(CmdKind kind, const Site &at_site, Cycle floor) const
 {
     const unsigned k = static_cast<unsigned>(kind);
-    const RankState &rank = ranks_[rankId(addr)];
+    const RankState &rank = ranks_[at_site.rank];
     Cycle e = std::max(floor, rank.ready[k]);
     if (bankKind(kind)) {
-        e = std::max({e, banks_[bankId(addr)].ready[k],
-                      groups_[groupId(addr)].ready[k]});
+        e = std::max({e, banks_[at_site.bank].ready[k],
+                      groups_[at_site.group].ready[k]});
         if (kind == CmdKind::Act &&
             rank.actWindowSize == rank.actWindow.size())
             e = std::max(e, rank.actWindow[0] + tFAW_);
@@ -249,30 +266,27 @@ TimingRules::earliest(CmdKind kind, const MappedAddr &addr,
 }
 
 inline void
-TimingRules::commit(CmdKind kind, const MappedAddr &addr, Cycle at)
+TimingRules::commit(CmdKind kind, const Site &at_site, Cycle at)
 {
     const unsigned k = static_cast<unsigned>(kind);
     const auto apply = [&](ScopeState &scope, Target target) {
         raise(scope.ready, gaps_[k][target], at);
-        scope.last[k] = std::max(scope.last[k], at); // 0 until issued
-        scope.issued[k] = true;
+        scope.lastPlus1[k] = std::max(scope.lastPlus1[k], at + 1);
     };
-    const std::size_t r = rankId(addr);
-    RankState &rank = ranks_[r];
+    RankState &rank = ranks_[at_site.rank];
     apply(rank, kRank);
     if (gaps_[k][kOtherRanks].size != 0) {
-        const std::size_t first =
-            static_cast<std::size_t>(addr.channel) * geom_.ranks;
+        const std::size_t first = at_site.channelRanks;
         for (std::size_t other = first; other < first + geom_.ranks;
              ++other) {
-            if (other != r)
+            if (other != at_site.rank)
                 raise(ranks_[other].ready, gaps_[k][kOtherRanks], at);
         }
     }
     if (!bankKind(kind))
         return;
-    apply(banks_[bankId(addr)], kBank);
-    apply(groups_[groupId(addr)], kGroup);
+    apply(banks_[at_site.bank], kBank);
+    apply(groups_[at_site.group], kGroup);
     if (kind == CmdKind::Act) {
         auto &w = rank.actWindow;
         if (rank.actWindowSize == w.size()) {

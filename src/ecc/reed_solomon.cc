@@ -1,6 +1,7 @@
 #include "src/ecc/reed_solomon.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/logging.hh"
@@ -51,11 +52,12 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k)
                 syndTable_[std::size_t{j} * 256 + v] = packed;
             }
         }
-        // Sliced encoder table, same packing: the LFSR remainder fits
-        // one 64-bit word (byte b = rem[b], highest degree at byte 0),
-        // and absorbing one data symbol becomes shift + one table XOR
-        // instead of 2t GF multiplies.
-        encTable_.assign(256, 0);
+        // Sliced encoder tables, same packing: the LFSR remainder fits
+        // one 64-bit word (byte b = rem[b], highest degree at byte 0).
+        // Slice 0 turns absorbing one data symbol into shift + one
+        // table XOR instead of 2t GF multiplies; slice s follows it
+        // with s zero symbols.
+        encTable_.assign(std::size_t{kEncodeSlices} * 256, 0);
         for (unsigned v = 1; v < 256; ++v) {
             std::uint64_t packed = 0;
             for (unsigned i = 0; i < two_t; ++i) {
@@ -67,8 +69,31 @@ ReedSolomon::ReedSolomon(unsigned n, unsigned k)
             }
             encTable_[v] = packed;
         }
+        for (unsigned slice = 1; slice < kEncodeSlices; ++slice) {
+            for (unsigned v = 1; v < 256; ++v) {
+                const std::uint64_t prev =
+                    encTable_[(slice - 1) * 256 + v];
+                encTable_[slice * 256 + v] =
+                    (prev >> 8) ^ encTable_[prev & 0xff];
+            }
+        }
     }
 }
+
+namespace {
+
+/** Little-endian load of 8 bytes: p[i] lands at bits 8i. */
+std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+} // namespace
 
 void
 ReedSolomon::encodeParity(const std::uint8_t *data,
@@ -77,12 +102,30 @@ ReedSolomon::encodeParity(const std::uint8_t *data,
     const unsigned two_t = n_ - k_;
     if (!encTable_.empty()) {
         // Packed LFSR: byte b of `rem` is remainder coefficient
-        // rem[b] with the highest degree at byte 0.
+        // rem[b] with the highest degree at byte 0. Eight symbols at
+        // a time: symbol i meets remainder byte i (2t <= 8, so every
+        // remainder byte is consumed) and is then followed by 7 - i
+        // more symbols, which slice 7 - i accounts for.
+        static_assert(kEncodeSlices == 8,
+                      "the unrolled step below absorbs 8 symbols");
+        const std::uint64_t *t = encTable_.data();
         std::uint64_t rem = 0;
-        for (unsigned j = 0; j < k_; ++j) {
+        unsigned j = 0;
+        for (; j + kEncodeSlices <= k_; j += kEncodeSlices) {
+            const std::uint64_t x = rem ^ loadLe64(data + j);
+            rem = t[7 * 256 + (x & 0xff)] ^
+                  t[6 * 256 + ((x >> 8) & 0xff)] ^
+                  t[5 * 256 + ((x >> 16) & 0xff)] ^
+                  t[4 * 256 + ((x >> 24) & 0xff)] ^
+                  t[3 * 256 + ((x >> 32) & 0xff)] ^
+                  t[2 * 256 + ((x >> 40) & 0xff)] ^
+                  t[1 * 256 + ((x >> 48) & 0xff)] ^
+                  t[x >> 56];
+        }
+        for (; j < k_; ++j) {
             const std::uint8_t coef =
                 data[j] ^ static_cast<std::uint8_t>(rem);
-            rem = (rem >> 8) ^ encTable_[coef];
+            rem = (rem >> 8) ^ t[coef];
         }
         for (unsigned b = 0; b < two_t; ++b)
             parity[b] = static_cast<std::uint8_t>(rem >> (8 * b));

@@ -129,11 +129,17 @@ class ReedSolomon
      * re-verifying a corrected word.
      */
     std::vector<std::uint64_t> syndTable_;
+    /** Data symbols the sliced encoder absorbs per step. */
+    static constexpr unsigned kEncodeSlices = 8;
     /**
-     * Sliced encoder table: entry [v] packs v times each generator
-     * coefficient into the LFSR remainder layout (remainder byte b at
-     * bits 8b, highest degree at byte 0), so absorbing a data symbol
-     * is shift + one XOR. Built alongside syndTable_ when 2t <= 8.
+     * Sliced encoder tables (slicing-by-8, as for CRCs): slice s,
+     * entry [s * 256 + v], is the LFSR remainder after absorbing
+     * symbol v and then s zero symbols, packed with remainder byte b
+     * at bits 8b (highest degree at byte 0). The remainder is linear
+     * in the symbols, so eight symbols fold in as eight independent
+     * lookups XORed together, not eight dependent shift-and-XOR steps.
+     * Slice 0 alone is the byte-at-a-time LFSR. Built alongside
+     * syndTable_ when 2t <= 8.
      */
     std::vector<std::uint64_t> encTable_;
 };

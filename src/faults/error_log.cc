@@ -14,35 +14,37 @@ ErrorLog::leaked(const Bucket &b, Cycle now) const
     return b.level > leak ? b.level - leak : 0.0;
 }
 
-bool
+ErrorLog::Verdict
 ErrorLog::record(Addr line, Cycle now, bool corrected)
 {
     ++total_;
     if (events_.size() < kMaxEvents)
         events_.push_back(Event{line, now, corrected});
 
-    Bucket &b = buckets_[line];
+    Bucket &b = *buckets_.tryEmplace(line, Bucket{}).first;
     b.level = leaked(b, now) + 1.0;
     b.last = std::max(b.last, now);
-    if (!b.permanent && b.level > threshold_) {
+    if (b.permanent)
+        return Verdict::Permanent;
+    if (b.level > threshold_) {
         b.permanent = true;
-        return true;
+        return Verdict::NewlyPermanent;
     }
-    return false;
+    return Verdict::Transient;
 }
 
 bool
 ErrorLog::isPermanent(Addr line) const
 {
-    auto it = buckets_.find(line);
-    return it != buckets_.end() && it->second.permanent;
+    const Bucket *b = buckets_.find(line);
+    return b != nullptr && b->permanent;
 }
 
 double
 ErrorLog::bucketLevel(Addr line, Cycle now) const
 {
-    auto it = buckets_.find(line);
-    return it != buckets_.end() ? leaked(it->second, now) : 0.0;
+    const Bucket *b = buckets_.find(line);
+    return b != nullptr ? leaked(*b, now) : 0.0;
 }
 
 } // namespace sam

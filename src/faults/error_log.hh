@@ -11,9 +11,9 @@
 #define SAM_FAULTS_ERROR_LOG_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/addr_map.hh"
 #include "src/common/types.hh"
 
 namespace sam {
@@ -37,12 +37,20 @@ class ErrorLog
         : threshold_(threshold), window_(window)
     {}
 
+    /** A line's classification after an event, as record() left it. */
+    enum class Verdict {
+        Transient,       ///< Bucket at or under the threshold.
+        NewlyPermanent,  ///< This event pushed it over (once per line).
+        Permanent,       ///< Classified permanent by an earlier event.
+    };
+
     /**
-     * Record an ECC event on `line` at time `now`. Returns true
-     * exactly once per line: when the event pushes the bucket over the
-     * threshold and the line is newly classified permanent.
+     * Record an ECC event on `line` at time `now` and return the
+     * line's classification, from one lookup of its bucket.
+     * NewlyPermanent is returned exactly once per line: when the event
+     * pushes the bucket over the threshold.
      */
-    bool record(Addr line, Cycle now, bool corrected);
+    Verdict record(Addr line, Cycle now, bool corrected);
 
     /** Whether the leaky bucket has classified `line` as permanent. */
     bool isPermanent(Addr line) const;
@@ -71,7 +79,7 @@ class ErrorLog
 
     double threshold_;
     Cycle window_;
-    std::unordered_map<Addr, Bucket> buckets_;
+    AddrMap<Bucket> buckets_;
     std::vector<Event> events_;
     std::uint64_t total_ = 0;
 };

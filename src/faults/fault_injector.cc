@@ -129,6 +129,23 @@ FaultInjector::beforeDecode(Addr line, std::vector<std::uint8_t> &blob,
     return touched;
 }
 
+bool
+FaultInjector::leavesNextReadUntouched() const
+{
+    if (armedReads_ > 0)
+        return false;
+    switch (config_.model) {
+      case FaultModel::None:
+      case FaultModel::Transient:
+        return true;
+      case FaultModel::StuckAt:
+        return false;
+      case FaultModel::Chipkill:
+        return !chipkillFired_;
+    }
+    panic("unknown FaultModel");
+}
+
 void
 FaultInjector::armBusFault(std::vector<std::size_t> bits, unsigned reads)
 {

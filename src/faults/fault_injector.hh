@@ -79,6 +79,12 @@ class FaultInjector final : public FaultInjectionHook
               const EccEngine &ecc) override;
     bool beforeDecode(Addr line, std::vector<std::uint8_t> &blob,
                       const EccEngine &ecc) override;
+    /**
+     * No armed bus fault, and a model that does nothing per read:
+     * None, Transient (its flips land in the store at tick()), or
+     * Chipkill before the kill. StuckAt draws on every read.
+     */
+    bool leavesNextReadUntouched() const override;
 
     /**
      * Deterministic test hook: flip the given absolute blob bits on

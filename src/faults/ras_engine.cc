@@ -44,11 +44,11 @@ RasPolicy::CorrectedDirective
 RasEngine::onCorrected(Addr line, Cycle now)
 {
     ++stats_.correctedErrors;
-    const bool newly_permanent = log_.record(line, now, true);
+    const ErrorLog::Verdict verdict = log_.record(line, now, true);
     CorrectedDirective d;
-    d.retire = newly_permanent;
+    d.retire = verdict == ErrorLog::Verdict::NewlyPermanent;
     if (config_.scrubEnabled) {
-        if (log_.isPermanent(line) && !newly_permanent) {
+        if (verdict == ErrorLog::Verdict::Permanent) {
             // A dead cell re-corrupts immediately; rewriting it would
             // just burn write bandwidth forever.
             ++stats_.scrubsSuppressed;

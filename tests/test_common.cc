@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "src/common/addr_map.hh"
 #include "src/common/bitops.hh"
 #include "src/common/logging.hh"
 #include "src/common/random.hh"
@@ -173,6 +176,83 @@ TEST(Types, StrideGranularityGeometry)
     EXPECT_EQ(gatherFactor(EccScheme::SscDsd), 8u);
     EXPECT_EQ(strideUnitBytes(EccScheme::Ssc32), 32u);
     EXPECT_EQ(gatherFactor(EccScheme::Ssc32), 2u);
+}
+
+// AddrMap against std::map under seeded insert / find / erase churn
+// over a fixed key set.
+void
+addrMapChurn(const std::vector<Addr> &keys, unsigned ops,
+             std::uint64_t seed)
+{
+    AddrMap<std::uint64_t> map;
+    std::map<Addr, std::uint64_t> ref;
+    Rng rng(seed);
+    for (unsigned i = 0; i < ops; ++i) {
+        const Addr k = keys[rng.below(keys.size())];
+        switch (rng.below(4)) {
+          case 0:
+          case 1: {
+            const std::uint64_t v = rng.next();
+            auto [value, inserted] = map.tryEmplace(k, v);
+            const bool ref_inserted = ref.emplace(k, v).second;
+            ASSERT_EQ(inserted, ref_inserted);
+            ASSERT_EQ(*value, ref[k]);
+            *value += 1; // the pointer aliases the stored value
+            ref[k] += 1;
+            break;
+          }
+          case 2:
+            ASSERT_EQ(map.erase(k), ref.erase(k) == 1);
+            break;
+          default: {
+            const std::uint64_t *v = map.find(k);
+            auto it = ref.find(k);
+            ASSERT_EQ(v != nullptr, it != ref.end());
+            if (v) {
+                ASSERT_EQ(*v, it->second);
+            }
+          }
+        }
+        ASSERT_EQ(map.size(), ref.size());
+    }
+    for (Addr k : keys) {
+        const std::uint64_t *v = map.find(k);
+        auto it = ref.find(k);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << k;
+        if (v) {
+            EXPECT_EQ(*v, it->second);
+        }
+    }
+}
+
+// Runs of consecutive lines, some 1 GiB apart, so probe runs collide
+// and the table grows from 16 slots through several doublings.
+TEST(AddrMapTest, MatchesStdMapOnLineRuns)
+{
+    std::vector<Addr> keys;
+    for (Addr hi = 0; hi < 3; ++hi) {
+        for (Addr line = 0; line < 700; ++line)
+            keys.push_back(line * kCachelineBytes | hi << 30);
+    }
+    addrMapChurn(keys, 60'000, 0xADD);
+    AddrMap<int> map;
+    EXPECT_THROW(map.tryEmplace(~Addr{0}, 1), std::logic_error);
+}
+
+// Twelve scattered lines keep the table at its 16 minimum slots and up
+// to three-quarters full, so probe runs wrap around the table's end
+// and erase shifts entries back across it.
+TEST(AddrMapTest, MatchesStdMapWhenProbesWrap)
+{
+    Rng rng(0xADE);
+    for (unsigned set = 0; set < 16; ++set) {
+        std::vector<Addr> keys;
+        for (unsigned i = 0; i < 12; ++i)
+            keys.push_back((rng.next() >> 24) * kCachelineBytes);
+        addrMapChurn(keys, 10'000, rng.next());
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 TEST(Logging, PanicThrows)

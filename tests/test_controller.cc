@@ -432,5 +432,200 @@ TEST_F(ControllerTest, RequestQueueCompactionWithStaggeredArrivals)
     EXPECT_TRUE(q.empty());
 }
 
+// --------------------------------------------------------------------
+// The indexed queue against the O(n) scan it replaced
+// --------------------------------------------------------------------
+
+/**
+ * Reference FR-FCFS scheduler: rules 1-3 by a scan over every queued
+ * request, against its own open-row image.
+ */
+class ScanQueue
+{
+  public:
+    explicit ScanQueue(const Geometry &geom)
+        : geom_(geom), openRow_(geom.totalBanks(), kClosed)
+    {
+    }
+
+    void push(const MemRequest &req)
+    {
+        queued_.push_back({req.id, req.arrival, nextSeq_++,
+                           req.device.addr.flatBank(geom_),
+                           req.device.addr.row});
+    }
+
+    void opened(std::size_t fb, std::uint64_t row) { openRow_[fb] = row; }
+    void closed(std::size_t fb) { openRow_[fb] = kClosed; }
+
+    /** Id of the pick; `row_hit` tells whether rule 1 chose it. */
+    std::uint64_t pick(Cycle now, bool &row_hit)
+    {
+        std::size_t best = queued_.size();
+        const auto better = [&](std::size_t i, bool by_arrival) {
+            if (best == queued_.size())
+                return true;
+            const Entry &a = queued_[i];
+            const Entry &b = queued_[best];
+            if (by_arrival && a.arrival != b.arrival)
+                return a.arrival < b.arrival;
+            return a.seq < b.seq;
+        };
+        for (std::size_t i = 0; i < queued_.size(); ++i) {
+            const Entry &e = queued_[i];
+            if (e.arrival <= now && openRow_[e.bank] == e.row &&
+                better(i, false))
+                best = i;
+        }
+        row_hit = best != queued_.size();
+        for (std::size_t i = 0; !row_hit && i < queued_.size(); ++i) {
+            if (queued_[i].arrival <= now && better(i, false))
+                best = i;
+        }
+        if (best == queued_.size()) {
+            for (std::size_t i = 0; i < queued_.size(); ++i) {
+                if (better(i, true))
+                    best = i;
+            }
+        }
+        const std::uint64_t id = queued_[best].id;
+        queued_.erase(queued_.begin() +
+                      static_cast<std::ptrdiff_t>(best));
+        return id;
+    }
+
+    std::size_t size() const { return queued_.size(); }
+
+  private:
+    static constexpr std::uint64_t kClosed = ~std::uint64_t{0};
+
+    struct Entry
+    {
+        std::uint64_t id;
+        Cycle arrival;
+        std::uint64_t seq;
+        std::size_t bank;
+        std::uint64_t row;
+    };
+
+    Geometry geom_;
+    std::vector<std::uint64_t> openRow_;
+    std::vector<Entry> queued_;
+    std::uint64_t nextSeq_ = 0;
+};
+
+/** One seeded traffic shape for the differential queue test. */
+struct QueueShape
+{
+    const char *name;
+    std::uint64_t seed;
+    unsigned depth;         ///< Backlog the producer keeps up to.
+    unsigned banks;         ///< Flat banks requests spread over.
+    unsigned rowsPerBank;   ///< Distinct rows per bank (repeats).
+    Cycle arrivalSpread;    ///< Arrivals land in [now, now + spread).
+    unsigned rowEventPct;   ///< Per-step chance of a row transition.
+};
+
+void
+PrintTo(const QueueShape &shape, std::ostream *os)
+{
+    *os << shape.name;
+}
+
+class QueueDifferentialTest : public ::testing::TestWithParam<QueueShape>
+{
+};
+
+TEST_P(QueueDifferentialTest, PicksMatchScanOfRulesOneToThree)
+{
+    const QueueShape shape = GetParam();
+    const Geometry geom;
+    RequestQueue queue(geom);
+    ScanQueue scan(geom);
+    Rng rng(shape.seed);
+    std::uint64_t id = 0;
+    const auto make = [&](Cycle arrival) {
+        MemRequest req;
+        req.id = ++id;
+        req.type = AccessType::Write;
+        req.arrival = arrival;
+        const unsigned fb =
+            static_cast<unsigned>(rng.below(shape.banks)) * 7 %
+            geom.totalBanks();
+        MappedAddr &a = req.device.addr;
+        a.rank = fb / geom.banksPerRank();
+        a.bankGroup = fb % geom.banksPerRank() / geom.banksPerGroup;
+        a.bank = fb % geom.banksPerGroup;
+        a.row = 100 + rng.below(shape.rowsPerBank);
+        req.device.isWrite = true;
+        return req;
+    };
+
+    Cycle now = 0;
+    unsigned row_hits = 0;
+    unsigned picks = 0;
+    for (unsigned step = 0; step < 6'000; ++step) {
+        now += rng.below(4);
+        // Refill toward the target depth in bursts, like a write
+        // queue filling with scrubs.
+        const unsigned burst = static_cast<unsigned>(rng.below(6));
+        for (unsigned i = 0; i < burst && scan.size() < shape.depth;
+             ++i) {
+            const MemRequest req =
+                make(now + rng.below(shape.arrivalSpread));
+            scan.push(req);
+            queue.push(req);
+        }
+        if (rng.below(100) < shape.rowEventPct) {
+            const std::size_t fb = rng.below(geom.totalBanks());
+            if (rng.below(3) == 0) {
+                scan.closed(fb);
+                queue.noteRowClosed(fb);
+            } else {
+                const std::uint64_t row = 100 + rng.below(
+                    shape.rowsPerBank);
+                scan.opened(fb, row);
+                queue.noteRowOpened(fb, row);
+            }
+        }
+        // Drain faster than the producer now and then, so the queue
+        // also empties and the compaction budget is crossed often.
+        const unsigned pops = rng.below(10) == 0 ? 8 : 1;
+        for (unsigned p = 0; p < pops && scan.size() > 0; ++p) {
+            bool want_hit = false;
+            bool got_hit = false;
+            const std::uint64_t want = scan.pick(now, want_hit);
+            const MemRequest got = queue.popBest(now, got_hit);
+            ASSERT_EQ(got.id, want) << "step " << step;
+            ASSERT_EQ(got_hit, want_hit) << "step " << step;
+            ASSERT_EQ(queue.size(), scan.size());
+            row_hits += got_hit;
+            ++picks;
+            if (rng.below(4) != 0) {
+                // Serving the pick opens its row, as the Device would.
+                const std::size_t fb = got.device.addr.flatBank(geom);
+                scan.opened(fb, got.device.addr.row);
+                queue.noteRowOpened(fb, got.device.addr.row);
+            }
+        }
+    }
+    // Every shape exercises all three rules' paths.
+    EXPECT_GT(row_hits, picks / 20);
+    EXPECT_LT(row_hits, picks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededShapes, QueueDifferentialTest,
+    ::testing::Values(
+        // A 256-deep write queue of scrubs to a few repeated rows.
+        QueueShape{"scrub_storm_256", 0x5C2B, 256, 4, 3, 40, 20},
+        // Deep queue, many rows per bank, future arrivals (rule 3).
+        QueueShape{"deep_random_256", 0xD33B, 256, 32, 8, 200, 30},
+        // Shallow queue, frequent row transitions.
+        QueueShape{"shallow_churn", 0x5AA1, 24, 32, 4, 20, 80},
+        // One bank, one row: every arrived request is a hit candidate.
+        QueueShape{"one_row", 0x0E0E, 64, 1, 1, 10, 5}),
+    [](const auto &info) { return std::string(info.param.name); });
+
 } // namespace
 } // namespace sam

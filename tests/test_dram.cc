@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "src/common/random.hh"
@@ -773,6 +775,106 @@ TEST(BackingStoreTest, CorruptLineXorsMask)
     EXPECT_EQ(store.readLine(0x40)[3], 0xff);
     EXPECT_EQ(store.readLine(0x40)[4], 0x0f);
     EXPECT_THROW(store.readLine(0x41), std::logic_error); // unaligned
+}
+
+// The overlay index against a reference map: first writes, rewrites,
+// corruptLine on layer lines and on lines no layer holds, and the
+// install() revert of every overlay line the snapshot covers.
+TEST(BackingStoreTest, OverlayIndexMatchesReferenceMap)
+{
+    constexpr unsigned kBlob = 72;
+    constexpr Addr kBase = Addr{1} << 20;
+    constexpr std::size_t kLayerLines = 512;
+    auto snap = std::make_shared<StoreSnapshot>();
+    snap->blobBytes = kBlob;
+    snap->appendRows(kBase, kLayerLines, {LineRun{0, kLayerLines}});
+    const auto layer_blob = [](Addr line) {
+        std::vector<std::uint8_t> b(kBlob);
+        for (unsigned i = 0; i < kBlob; ++i)
+            b[i] = static_cast<std::uint8_t>(line / kCachelineBytes + i);
+        return b;
+    };
+    for (std::size_t s = 0; s < kLayerLines; ++s) {
+        const auto b = layer_blob(kBase + s * kCachelineBytes);
+        std::copy(b.begin(), b.end(), snap->mutableBlob(s));
+    }
+    const auto in_layer = [&](Addr line) {
+        return line >= kBase &&
+               line < kBase + kLayerLines * kCachelineBytes;
+    };
+
+    BackingStore store(kBlob);
+    store.install(snap);
+    struct RefLine
+    {
+        std::vector<std::uint8_t> blob;
+        bool clean = false;
+    };
+    std::map<Addr, RefLine> overlay; // lines written since the install
+    const auto expect_line = [&](Addr line) {
+        auto it = overlay.find(line);
+        std::vector<std::uint8_t> want(kBlob, 0);
+        bool clean = true;
+        if (it != overlay.end()) {
+            want = it->second.blob;
+            clean = it->second.clean;
+        } else if (in_layer(line)) {
+            want = layer_blob(line);
+        }
+        ASSERT_EQ(store.readLine(line), want) << line;
+        const BackingStore::LineRef ref = store.refLine(line);
+        ASSERT_EQ(ref.clean, clean) << line;
+        ASSERT_EQ(store.contains(line),
+                  it != overlay.end() || in_layer(line));
+    };
+
+    Rng rng(0x0E41A7);
+    for (unsigned i = 0; i < 30'000; ++i) {
+        // Half the lines in the layer, half beside it.
+        const Addr line = rng.below(2) == 0
+            ? kBase + rng.below(kLayerLines) * kCachelineBytes
+            : rng.below(kLayerLines) * kCachelineBytes;
+        const unsigned op = static_cast<unsigned>(rng.below(100));
+        if (op < 45) {
+            std::vector<std::uint8_t> blob(kBlob);
+            for (auto &b : blob)
+                b = static_cast<std::uint8_t>(rng.below(256));
+            const bool clean = rng.below(2) == 0;
+            store.writeLine(line, blob, clean);
+            overlay[line] = RefLine{blob, clean};
+        } else if (op < 70) {
+            std::vector<std::uint8_t> mask(kBlob, 0);
+            mask[rng.below(kBlob)] = 0x10;
+            store.corruptLine(line, mask);
+            RefLine &r = overlay[line];
+            if (r.blob.empty()) {
+                r.blob = in_layer(line) ? layer_blob(line)
+                                        : std::vector<std::uint8_t>(
+                                              kBlob, 0);
+            }
+            for (unsigned b = 0; b < kBlob; ++b)
+                r.blob[b] ^= mask[b];
+            r.clean = false;
+        } else if (op == 70 && rng.below(40) == 0) {
+            // Re-install: overlay lines the layer covers revert.
+            store.install(snap);
+            for (auto it = overlay.begin(); it != overlay.end();) {
+                it = in_layer(it->first) ? overlay.erase(it)
+                                         : std::next(it);
+            }
+        } else {
+            expect_line(line);
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    std::size_t beside = 0;
+    for (Addr l = 0; l < kLayerLines; ++l) {
+        expect_line(kBase + l * kCachelineBytes);
+        expect_line(l * kCachelineBytes);
+        beside += overlay.count(l * kCachelineBytes);
+    }
+    EXPECT_EQ(store.lineCount(), kLayerLines + beside);
 }
 
 } // namespace

@@ -312,6 +312,142 @@ TEST(ReedSolomon, RejectsBadGeometry)
 }
 
 // --------------------------------------------------------------------
+// Sliced encoder against the byte-at-a-time LFSR
+// --------------------------------------------------------------------
+
+/**
+ * Byte-at-a-time LFSR reference: synthetic division of m(x) * x^{2t}
+ * by g(x) = prod (x + alpha^i), one data symbol per step with explicit
+ * GF multiplies. Returns the 2t check symbols, highest degree first.
+ */
+std::vector<std::uint8_t>
+referenceParity(unsigned n, unsigned k, const std::uint8_t *data)
+{
+    const unsigned two_t = n - k;
+    std::vector<std::uint8_t> g{1};
+    for (unsigned i = 0; i < two_t; ++i) {
+        std::vector<std::uint8_t> next(g.size() + 1, 0);
+        for (std::size_t j = 0; j < g.size(); ++j) {
+            next[j + 1] ^= g[j];
+            next[j] ^= GF256::mul(g[j], GF256::alphaPow(i));
+        }
+        g = std::move(next);
+    }
+    std::vector<std::uint8_t> rem(two_t, 0);
+    for (unsigned j = 0; j < k; ++j) {
+        const std::uint8_t coef = data[j] ^ rem[0];
+        rem.erase(rem.begin());
+        rem.push_back(0);
+        for (unsigned i = 0; i < two_t; ++i)
+            rem[two_t - 1 - i] ^= GF256::mul(coef, g[i]);
+    }
+    return rem;
+}
+
+/** Seeded messages plus the edge cases a slicing bug would miss. */
+std::vector<std::vector<std::uint8_t>>
+encodeMessages(unsigned k, std::uint64_t seed)
+{
+    std::vector<std::vector<std::uint8_t>> msgs;
+    msgs.emplace_back(k, 0x00);
+    msgs.emplace_back(k, 0xff);
+    for (unsigned j = 0; j < k; ++j) {
+        // One nonzero symbol at each position (each slice, each step).
+        std::vector<std::uint8_t> m(k, 0);
+        m[j] = static_cast<std::uint8_t>(j * 37 + 1);
+        msgs.push_back(std::move(m));
+    }
+    Rng rng(seed);
+    for (unsigned i = 0; i < 500; ++i) {
+        std::vector<std::uint8_t> m(k);
+        for (auto &b : m)
+            b = static_cast<std::uint8_t>(rng.below(256));
+        msgs.push_back(std::move(m));
+    }
+    return msgs;
+}
+
+class SlicedEncodeTest
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
+{
+};
+
+TEST_P(SlicedEncodeTest, MatchesByteAtATimeLfsr)
+{
+    const auto [n, k] = GetParam();
+    const ReedSolomon rs(n, k);
+    for (const auto &m : encodeMessages(k, 0x51ce + n)) {
+        std::vector<std::uint8_t> parity(n - k, 0xa5);
+        rs.encodeParity(m.data(), parity.data());
+        ASSERT_EQ(parity, referenceParity(n, k, m.data()));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShippedGeometries, SlicedEncodeTest,
+    ::testing::Values(std::make_pair(18u, 16u), std::make_pair(36u, 32u),
+                      std::make_pair(72u, 64u)),
+    [](const auto &info) {
+        return "RS" + std::to_string(info.param.first) + "_" +
+               std::to_string(info.param.second);
+    });
+
+// Every RS scheme's line layout, rebuilt from the reference: SSC's
+// four RS(18,16) words, SSC-DSD's two RS(36,32), Bamboo-72's one
+// RS(72,64), and SSC-32's two pairs of byte-interleaved RS(18,16)
+// words (interleave i of pair j takes bytes 32j + 2s + i).
+TEST(SlicedEncode, EngineLinesMatchReferenceLayout)
+{
+    Rng rng(0x55c32);
+    for (EccScheme scheme : {EccScheme::Ssc, EccScheme::SscDsd,
+                             EccScheme::Bamboo72, EccScheme::Ssc32}) {
+        const EccEngine ecc(scheme);
+        for (unsigned trial = 0; trial < 300; ++trial) {
+            std::uint8_t line[kCachelineBytes];
+            for (auto &b : line)
+                b = static_cast<std::uint8_t>(rng.below(256));
+            std::vector<std::uint8_t> want(line, line + kCachelineBytes);
+            want.resize(kCachelineBytes + 8, 0);
+            switch (scheme) {
+              case EccScheme::Ssc:
+              case EccScheme::SscDsd:
+              case EccScheme::Bamboo72: {
+                const unsigned k = scheme == EccScheme::Ssc ? 16
+                    : scheme == EccScheme::SscDsd            ? 32
+                                                             : 64;
+                const unsigned two_t = k / 8;
+                for (unsigned w = 0; w < kCachelineBytes / k; ++w) {
+                    const auto p = referenceParity(k + two_t, k,
+                                                   line + k * w);
+                    std::copy(p.begin(), p.end(),
+                              want.begin() + kCachelineBytes +
+                                  two_t * w);
+                }
+                break;
+              }
+              case EccScheme::Ssc32:
+                for (unsigned j = 0; j < 2; ++j) {
+                    for (unsigned i = 0; i < 2; ++i) {
+                        std::uint8_t word[16];
+                        for (unsigned s = 0; s < 16; ++s)
+                            word[s] = line[32 * j + 2 * s + i];
+                        const auto p = referenceParity(18, 16, word);
+                        want[64 + 4 * j + i] = p[0];
+                        want[64 + 4 * j + 2 + i] = p[1];
+                    }
+                }
+                break;
+              default:
+                FAIL() << "not an RS scheme";
+            }
+            std::vector<std::uint8_t> blob(kCachelineBytes + 8, 0x3c);
+            ecc.encodeLineInto(line, blob.data());
+            ASSERT_EQ(blob, want) << eccSchemeName(scheme);
+        }
+    }
+}
+
+// --------------------------------------------------------------------
 // SEC-DED
 // --------------------------------------------------------------------
 

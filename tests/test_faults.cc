@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "src/common/random.hh"
 #include "src/dram/backing_store.hh"
 #include "src/dram/data_path.hh"
 #include "src/faults/error_log.hh"
@@ -604,6 +606,188 @@ TEST(RasPipeline, IsolatedErrorIsScrubbedNotRetired)
     EXPECT_EQ(ras.stats().linesRetired.value(), 0u);
     EXPECT_EQ(ras.resolve(line), line);
 }
+
+// --------------------------------------------------------------------
+// The flat error log against a reference map
+// --------------------------------------------------------------------
+
+TEST(ErrorLogTest, MatchesReferenceMap)
+{
+    constexpr double kThreshold = 4.0;
+    constexpr Cycle kWindow = 2'000;
+    ErrorLog log(kThreshold, kWindow);
+
+    struct RefBucket
+    {
+        double level = 0.0;
+        Cycle last = 0;
+        bool permanent = false;
+    };
+    std::map<Addr, RefBucket> ref;
+    std::map<Addr, unsigned> newly;
+    const auto leaked = [](const RefBucket &b, Cycle now) {
+        if (now <= b.last)
+            return b.level;
+        const double leak = static_cast<double>(now - b.last) *
+                            kThreshold / static_cast<double>(kWindow);
+        return b.level > leak ? b.level - leak : 0.0;
+    };
+
+    // 3000 lines (the table grows through several doublings), bursts
+    // on a few hot lines so buckets overflow, and clock rewinds like a
+    // new run's, which leak nothing.
+    Rng rng(0xE4406);
+    Cycle now = 0;
+    for (unsigned i = 0; i < 40'000; ++i) {
+        if (i % 9'000 == 8'999)
+            now = rng.below(100);
+        now += rng.below(40);
+        const Addr line = rng.below(4) == 0
+            ? rng.below(8) * kCachelineBytes
+            : (8 + rng.below(2'992)) * kCachelineBytes;
+        const bool corrected = rng.below(5) != 0;
+
+        RefBucket &b = ref[line];
+        b.level = leaked(b, now) + 1.0;
+        b.last = std::max(b.last, now);
+        ErrorLog::Verdict want = ErrorLog::Verdict::Transient;
+        if (b.permanent) {
+            want = ErrorLog::Verdict::Permanent;
+        } else if (b.level > kThreshold) {
+            b.permanent = true;
+            want = ErrorLog::Verdict::NewlyPermanent;
+            ++newly[line];
+        }
+        ASSERT_EQ(log.record(line, now, corrected), want) << "event " << i;
+    }
+    EXPECT_EQ(log.totalEvents(), 40'000u);
+    EXPECT_EQ(log.events().size(), 1024u);
+
+    unsigned permanent = 0;
+    for (Addr l = 0; l < 3'100; ++l) {
+        const Addr line = l * kCachelineBytes;
+        auto it = ref.find(line);
+        const double want_level =
+            it == ref.end() ? 0.0 : leaked(it->second, now + 500);
+        EXPECT_DOUBLE_EQ(log.bucketLevel(line, now + 500), want_level);
+        const bool want_permanent =
+            it != ref.end() && it->second.permanent;
+        EXPECT_EQ(log.isPermanent(line), want_permanent);
+        if (want_permanent) {
+            ++permanent;
+            EXPECT_EQ(newly[line], 1u) << "line " << line;
+        }
+    }
+    EXPECT_GE(permanent, 8u); // the hot lines all crossed
+}
+
+// --------------------------------------------------------------------
+// The hook's "will not touch" answer
+// --------------------------------------------------------------------
+
+/**
+ * DataPath skips beforeDecode() (and the blob it would need) on a
+ * clean line when the hook says it would leave the read untouched.
+ * Two injectors with one config see the same ticks and reads: `full`
+ * is consulted on every read, `lazy` only when it does not promise to
+ * leave the read alone. Whenever `lazy` is skipped, `full` must report
+ * the read untouched and leave the blob as it was; and the two must
+ * agree on everything after -- stored flips, corrupted blobs, counters
+ * -- so a skip never moves the RNG.
+ */
+class HookUntouchedTest : public ::testing::TestWithParam<FaultModel>
+{
+};
+
+TEST_P(HookUntouchedTest, AgreesWithBeforeDecodeAndKeepsRngState)
+{
+    const FaultModel model = GetParam();
+    FaultConfig fc;
+    fc.model = model;
+    fc.seed = 0xC0FFEE;
+    fc.fitPerMcycle = 20'000.0;
+    fc.stuckProbability = 0.3;
+    fc.chipkillAt = 6'000;
+    FaultInjector full(fc);
+    FaultInjector lazy(fc);
+    const EccEngine ecc(EccScheme::SscDsd);
+    BackingStore full_store(kCachelineBytes + 8);
+    BackingStore lazy_store(kCachelineBytes + 8);
+    constexpr unsigned kLines = 48;
+    for (unsigned i = 0; i < kLines; ++i) {
+        const auto blob = ecc.encodeLine(patternLine(
+            static_cast<std::uint8_t>(i)));
+        full_store.writeLine(i * kCachelineBytes, blob, true);
+        lazy_store.writeLine(i * kCachelineBytes, blob, true);
+    }
+
+    unsigned skipped = 0;
+    unsigned consulted = 0;
+    for (unsigned step = 0; step < 3'000; ++step) {
+        if (step == 400 || step == 2'500) {
+            full.armBusFault({5, 300}, 3);
+            lazy.armBusFault({5, 300}, 3);
+        }
+        const Cycle now = Cycle{step} * 5;
+        full.tick(now, full_store, ecc);
+        lazy.tick(now, lazy_store, ecc);
+        const Addr line = ((step * 7) % kLines) * kCachelineBytes;
+        std::vector<std::uint8_t> full_blob = full_store.readLine(line);
+        std::vector<std::uint8_t> lazy_blob = lazy_store.readLine(line);
+        ASSERT_EQ(full_blob, lazy_blob) << "stored state, step " << step;
+
+        const bool untouched = lazy.leavesNextReadUntouched();
+        ASSERT_EQ(full.leavesNextReadUntouched(), untouched);
+        const std::vector<std::uint8_t> before = full_blob;
+        const bool touched = full.beforeDecode(line, full_blob, ecc);
+        if (untouched) {
+            ++skipped;
+            ASSERT_FALSE(touched) << "step " << step;
+            ASSERT_EQ(full_blob, before) << "step " << step;
+        } else {
+            ++consulted;
+            ASSERT_EQ(lazy.beforeDecode(line, lazy_blob, ecc), touched);
+            ASSERT_EQ(lazy_blob, full_blob) << "step " << step;
+        }
+    }
+    EXPECT_EQ(full.stats().storedFlips.value(),
+              lazy.stats().storedFlips.value());
+    EXPECT_EQ(full.stats().busFaults.value(),
+              lazy.stats().busFaults.value());
+    EXPECT_EQ(full.stats().chipKills.value(),
+              lazy.stats().chipKills.value());
+
+    switch (model) {
+      case FaultModel::None:
+      case FaultModel::Transient:
+        // Only the armed reads are consulted.
+        EXPECT_EQ(consulted, 6u);
+        break;
+      case FaultModel::StuckAt:
+        // Its draw is per read: never skipped.
+        EXPECT_EQ(skipped, 0u);
+        EXPECT_GT(full.stats().busFaults.value(), 6u);
+        break;
+      case FaultModel::Chipkill:
+        // Reads before the kill (cycle 6000, step 1200) are skipped,
+        // every one after it is consulted.
+        EXPECT_EQ(skipped, 1'200u - 3u);
+        EXPECT_EQ(consulted, 3'000u - skipped);
+        break;
+    }
+    if (model == FaultModel::Transient) {
+        EXPECT_GT(full.stats().storedFlips.value(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, HookUntouchedTest,
+                         ::testing::Values(FaultModel::None,
+                                           FaultModel::Transient,
+                                           FaultModel::StuckAt,
+                                           FaultModel::Chipkill),
+                         [](const auto &info) {
+                             return faultModelName(info.param);
+                         });
 
 // --------------------------------------------------------------------
 // Clean-line fast path: observationally equivalent to full decode
