@@ -106,11 +106,14 @@ BM_DataPathStrideRead(benchmark::State &state)
     for (unsigned i = 0; i < 8; ++i) {
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.below(256));
-        dp.writeLine(i * 64ull, line);
+        dp.writeLine(i * 64ull, line.data());
         addrs.push_back(i * 64ull);
     }
+    std::uint8_t out[kCachelineBytes];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(dp.strideRead(addrs, 3, 8));
+        benchmark::DoNotOptimize(
+            dp.strideReadInto(addrs.data(), addrs.size(), 3, 8, out));
+        benchmark::DoNotOptimize(out[0]);
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kCachelineBytes);

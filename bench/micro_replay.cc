@@ -64,7 +64,7 @@ strideReadBench(benchmark::State &state, bool fast_path)
     const unsigned kLines = 1024;
     std::vector<std::uint8_t> line(kCachelineBytes, 0xa5);
     for (unsigned i = 0; i < kLines; ++i)
-        dp.writeLine(i * kCachelineBytes, line);
+        dp.writeLine(i * kCachelineBytes, line.data());
     Addr gather[8];
     std::uint8_t out[kCachelineBytes];
     std::uint64_t n = 0;
@@ -103,7 +103,7 @@ BM_WriteLineEncoded(benchmark::State &state)
     std::uint64_t n = 0;
     for (auto _ : state) {
         line[0] = static_cast<std::uint8_t>(n);
-        dp.writeLine((n % kLines) * kCachelineBytes, line);
+        dp.writeLine((n % kLines) * kCachelineBytes, line.data());
         ++n;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(n));

@@ -96,7 +96,7 @@ CacheHierarchy::ensureLine(Addr line, std::uint8_t mask,
     // randomness, so merging after the fetch is equivalent to
     // collecting first.
     std::uint8_t merged[kCachelineBytes];
-    backend_.fetchLine(line, merged);
+    const bool fetch_poisoned = backend_.fetchLine(line, merged);
     std::uint8_t dirty = 0;
     std::uint8_t cached_poison = 0;
     const std::uint8_t cached_valid =
@@ -104,7 +104,7 @@ CacheHierarchy::ensureLine(Addr line, std::uint8_t mask,
     // A poisoned fetch taints the fetched sectors; resident sectors
     // keep their own (possibly clean) state since they overlay the
     // fetched bytes.
-    const std::uint8_t fetch_poison = backend_.lastFetchPoisoned()
+    const std::uint8_t fetch_poison = fetch_poisoned
         ? static_cast<std::uint8_t>(l1_.fullMask() & ~cached_valid)
         : 0;
     fillLevel(0, line, l1_.fullMask(), merged, dirty,
@@ -150,16 +150,8 @@ CacheHierarchy::write(Addr addr, const std::uint8_t *src, unsigned bytes)
         // for sub-line stores since their only sector is the line).
         std::uint8_t dirty = 0;
         std::uint8_t poison = 0;
-        std::uint8_t cached[kCachelineBytes];
-        const std::uint8_t valid = collect(line, dirty, cached, &poison);
-        // Overlay previous content, then the new store.
         std::uint8_t merged[kCachelineBytes] = {};
-        for (unsigned s = 0; s < l1_.sectorsPerLine(); ++s) {
-            if (valid & (1u << s)) {
-                std::memcpy(merged + s * sector_bytes,
-                            cached + s * sector_bytes, sector_bytes);
-            }
-        }
+        const std::uint8_t valid = collect(line, dirty, merged, &poison);
         std::memcpy(merged + offset, src, bytes);
         const std::uint8_t store_mask = l1_.maskFor(offset, bytes);
         fillLevel(0, line, static_cast<std::uint8_t>(valid | store_mask),
@@ -220,26 +212,17 @@ CacheHierarchy::strideRead(const GatherPlan &plan, unsigned unit,
     }
 
     // One sload fetches all G chunks; overlay any dirtier cached chunk.
-    backend_.fetchStride(plan, out64);
-    const std::uint32_t fetch_poison = backend_.lastStridePoisonBits();
+    const std::uint32_t fetch_poison = backend_.fetchStride(plan, out64);
 
     HierResult res{llc_.params().hitLatency, true};
     for (unsigned i = 0; i < g; ++i) {
         const Addr line = plan.lines[i];
         std::uint8_t dirty = 0;
         std::uint8_t poison = 0;
-        std::uint8_t cached[kCachelineBytes];
-        const std::uint8_t valid = collect(line, dirty, cached, &poison);
         std::uint8_t buf[kCachelineBytes] = {};
+        const std::uint8_t valid = collect(line, dirty, buf, &poison);
         std::uint8_t valid_now = valid;
         std::uint8_t chunk_poison;
-        const unsigned sector_bytes = l1_.params().sectorBytes;
-        for (unsigned s = 0; s < l1_.sectorsPerLine(); ++s) {
-            if (valid & (1u << s)) {
-                std::memcpy(buf + s * sector_bytes,
-                            cached + s * sector_bytes, sector_bytes);
-            }
-        }
         if (dirty & sector_bit) {
             // Cache is newer than memory for this chunk.
             std::memcpy(out64 + i * unit, buf + plan.sector * unit,
@@ -280,15 +263,8 @@ CacheHierarchy::strideWrite(const GatherPlan &plan, unsigned unit,
         const Addr line = plan.lines[i];
         std::uint8_t dirty = 0;
         std::uint8_t poison = 0;
-        std::uint8_t cached[kCachelineBytes];
-        const std::uint8_t valid = collect(line, dirty, cached, &poison);
         std::uint8_t buf[kCachelineBytes] = {};
-        for (unsigned s = 0; s < l1_.sectorsPerLine(); ++s) {
-            if (valid & (1u << s)) {
-                std::memcpy(buf + s * sector_bytes,
-                            cached + s * sector_bytes, sector_bytes);
-            }
-        }
+        const std::uint8_t valid = collect(line, dirty, buf, &poison);
         std::memcpy(buf + plan.sector * unit, src64 + i * unit, unit);
         // Written through below: this sector is clean in the caches.
         fillLevel(0, line,
@@ -309,16 +285,8 @@ CacheHierarchy::writeAllocate(Addr addr, const std::uint8_t *src,
     const unsigned offset = static_cast<unsigned>(addr - line);
     std::uint8_t dirty = 0;
     std::uint8_t poison = 0;
-    std::uint8_t cached[kCachelineBytes];
-    const std::uint8_t valid = collect(line, dirty, cached, &poison);
     std::uint8_t merged[kCachelineBytes] = {};
-    const unsigned sector_bytes = l1_.params().sectorBytes;
-    for (unsigned s = 0; s < l1_.sectorsPerLine(); ++s) {
-        if (valid & (1u << s)) {
-            std::memcpy(merged + s * sector_bytes,
-                        cached + s * sector_bytes, sector_bytes);
-        }
-    }
+    collect(line, dirty, merged, &poison);
     std::memcpy(merged + offset, src, bytes);
     fillLevel(0, line, l1_.fullMask(), merged, l1_.fullMask(),
               static_cast<std::uint8_t>(poison &

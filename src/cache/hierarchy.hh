@@ -31,15 +31,17 @@ class MemBackend
     /**
      * Fetch a full 64B line into `out64` (functional read + trace
      * record). Caller-provided buffer: the hot path allocates nothing.
+     * Returns whether the fetched data is RAS-poisoned.
      */
-    virtual void fetchLine(Addr line, std::uint8_t *out64) = 0;
+    virtual bool fetchLine(Addr line, std::uint8_t *out64) = 0;
 
     /**
      * Fetch a stride gather (sload): writes the 64B strided line of G
-     * chunks into `out64`.
+     * chunks into `out64`. Returns the per-source-line poison bits
+     * (bit i = source line i of the gather).
      */
-    virtual void fetchStride(const GatherPlan &plan,
-                             std::uint8_t *out64) = 0;
+    virtual std::uint32_t fetchStride(const GatherPlan &plan,
+                                      std::uint8_t *out64) = 0;
 
     /** Write back a (possibly partially) dirty line. */
     virtual void writeback(const Writeback &wb) = 0;
@@ -52,16 +54,6 @@ class MemBackend
      */
     virtual void writeStride(const GatherPlan &plan,
                              const std::uint8_t *line64) = 0;
-
-    // ----- RAS poison reporting (optional) ---------------------------
-    /** Whether the last fetchLine() returned poisoned data. */
-    virtual bool lastFetchPoisoned() const { return false; }
-
-    /**
-     * Per-source-line poison bits of the last fetchStride() (bit i =
-     * source line i of the gather).
-     */
-    virtual std::uint32_t lastStridePoisonBits() const { return 0; }
 };
 
 /** Outcome of a hierarchy access. */
@@ -123,6 +115,8 @@ class CacheHierarchy
     /**
      * Extract `line` from every level and merge into a single record
      * (upper levels win on overlap). Returns merged valid mask.
+     * Sectors resident nowhere keep what `data64` held, so collecting
+     * into a zero-filled buffer yields the merged line image.
      */
     std::uint8_t collect(Addr line, std::uint8_t &dirty_mask,
                          std::uint8_t *data64,

@@ -109,8 +109,9 @@ MemoryController::serve(MemRequest req)
     switch (req.type) {
       case AccessType::Read:
         if (functional_) {
-            c.outcome = dataPath_.readLine(req.gatherLines[0]);
-            pushScrubs(c.outcome, c.done, req.coreId);
+            c.flags = dataPath_.readLineInto(req.gatherLines[0],
+                                             c.data.data());
+            pushScrubs(c.flags, c.done, req.coreId);
         }
         ++stats_.readsServed;
         stats_.totalReadLatency += static_cast<double>(c.done -
@@ -118,10 +119,10 @@ MemoryController::serve(MemRequest req)
         break;
       case AccessType::StrideRead:
         if (functional_) {
-            c.outcome = dataPath_.strideRead(req.gatherLines.data(),
-                                             req.gatherCount, req.sector,
-                                             req.strideUnit);
-            pushScrubs(c.outcome, c.done, req.coreId);
+            c.flags = dataPath_.strideReadInto(
+                req.gatherLines.data(), req.gatherCount, req.sector,
+                req.strideUnit, c.data.data());
+            pushScrubs(c.flags, c.done, req.coreId);
         }
         ++stats_.strideReadsServed;
         stats_.totalReadLatency += static_cast<double>(c.done -
@@ -131,7 +132,7 @@ MemoryController::serve(MemRequest req)
         if (functional_ && !req.isScrub) {
             sam_assert(req.writeData.size() == kCachelineBytes,
                        "write without a full-line payload");
-            dataPath_.writeLine(req.gatherLines[0], req.writeData);
+            dataPath_.writeLine(req.gatherLines[0], req.writeData.data());
         }
         if (req.isScrub)
             ++stats_.scrubWrites;
@@ -152,14 +153,16 @@ MemoryController::serve(MemRequest req)
 }
 
 void
-MemoryController::pushScrubs(const ReadOutcome &outcome, Cycle when,
+MemoryController::pushScrubs(const ReadFlags &flags, Cycle when,
                              unsigned core_id)
 {
+    if (!flags.scrubbed)
+        return;
     // Corrected lines are written back as real writes so the scrub
     // traffic competes for write-queue slots and bus slots. The data
     // movement already happened inside the DataPath; these requests are
     // timing-only.
-    for (Addr line : outcome.scrubbedLines) {
+    for (Addr line : dataPath_.lastScrubbedLines()) {
         MemRequest scrub;
         scrub.type = AccessType::Write;
         scrub.addr = line;

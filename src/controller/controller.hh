@@ -1,7 +1,10 @@
 /**
  * @file
  * FR-FCFS open-page memory controller (paper Table 2: open-page policy,
- * FR-FCFS scheduling, 32-entry write queue with watermark draining).
+ * FR-FCFS scheduling, a write queue with watermark draining). Table 2's
+ * 32-entry write-queue capacity is not enforced: only the replay's
+ * backpressure limit (src/sim/replay_engine.cc) bounds the queue
+ * (ROADMAP item 1 decides a real capacity).
  */
 
 #ifndef SAM_CONTROLLER_CONTROLLER_HH
@@ -24,7 +27,6 @@ class Telemetry;
 /** Controller tuning knobs. */
 struct ControllerParams
 {
-    unsigned writeQueueCapacity = 32;  ///< Table 2.
     unsigned writeHighWatermark = 24;  ///< Start draining writes.
     unsigned writeLowWatermark = 8;    ///< Stop draining writes.
     Cycle pipelineLatency = 4;         ///< Controller + ECC decode.
@@ -131,9 +133,8 @@ class MemoryController : public RowStateListener
     /** Issue to device + functional data movement. */
     Completion serve(MemRequest req);
 
-    /** Enqueue timing-only scrub writebacks a read outcome triggered. */
-    void pushScrubs(const ReadOutcome &outcome, Cycle when,
-                    unsigned core_id);
+    /** Enqueue timing-only scrub writebacks the last read triggered. */
+    void pushScrubs(const ReadFlags &flags, Cycle when, unsigned core_id);
 
     Device &device_;
     DataPath &dataPath_;

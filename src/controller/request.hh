@@ -111,7 +111,10 @@ struct Completion
     unsigned coreId = 0;
     Cycle done = 0;
     bool isRead = false;
-    ReadOutcome outcome;  ///< Data + ECC flags for reads.
+    /** ECC flags of a functional read (timing-only: all clear). */
+    ReadFlags flags;
+    /** The 64 data bytes of a functional read (timing-only: zero). */
+    std::array<std::uint8_t, kCachelineBytes> data{};
 };
 
 } // namespace sam

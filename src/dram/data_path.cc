@@ -44,8 +44,7 @@ DataPath::fetchInto(Addr line_addr, std::uint8_t *out64, bool rmw)
     // Clean tag read AFTER tick(): the FIT model corrupts stored
     // blobs, which clears the tag.
     const BackingStore::LineRef ref = store_.refLine(phys);
-    const bool provably_clean =
-        fastPath_ && ref.clean && failedChips_.empty();
+    const bool provably_clean = fastPath_ && ref.clean;
 
     if (provably_clean &&
         (!faults_ || faults_->leavesNextReadUntouched())) {
@@ -79,8 +78,6 @@ DataPath::fetchInto(Addr line_addr, std::uint8_t *out64, bool rmw)
         } else {
             std::memset(blobScratch_.data(), 0, blob_bytes);
         }
-        for (unsigned chip : failedChips_)
-            ecc_.corruptChip(blobScratch_, chip);
         bool touched = false;
         if (faults_) {
             // Always consulted, even on clean lines: the injector's
@@ -163,28 +160,11 @@ DataPath::readLineInto(Addr line_addr, std::uint8_t *out64)
     return fetchInto(line_addr, out64);
 }
 
-ReadOutcome
-DataPath::readLine(Addr line_addr)
-{
-    ReadOutcome out;
-    out.data.resize(kCachelineBytes);
-    const ReadFlags f = readLineInto(line_addr, out.data.data());
-    out.corrected = f.corrected;
-    out.uncorrectable = f.uncorrectable;
-    out.poisoned = f.poisoned;
-    out.retries = f.retries;
-    out.poisonBits = f.poisonBits;
-    out.scrubbedLines = scrubbed_;
-    return out;
-}
-
 void
-DataPath::writeLine(Addr line_addr, const std::vector<std::uint8_t> &data)
+DataPath::writeLine(Addr line_addr, const std::uint8_t *data64)
 {
-    sam_assert(data.size() == kCachelineBytes,
-               "writeLine expects a 64B line, got ", data.size());
     encodeScratch_.resize(store_.blobBytes());
-    ecc_.encodeLineInto(data.data(), encodeScratch_.data());
+    ecc_.encodeLineInto(data64, encodeScratch_.data());
     store_.writeLine(resolved(line_addr), encodeScratch_.data(),
                      /*clean=*/true);
 }
@@ -212,30 +192,6 @@ DataPath::strideReadInto(const Addr *line_addrs, std::size_t count,
     return out;
 }
 
-ReadOutcome
-DataPath::strideRead(const Addr *line_addrs, std::size_t count,
-                     unsigned sector, unsigned unit)
-{
-    ReadOutcome out;
-    out.data.resize(kCachelineBytes);
-    const ReadFlags f =
-        strideReadInto(line_addrs, count, sector, unit, out.data.data());
-    out.corrected = f.corrected;
-    out.uncorrectable = f.uncorrectable;
-    out.poisoned = f.poisoned;
-    out.retries = f.retries;
-    out.poisonBits = f.poisonBits;
-    out.scrubbedLines = scrubbed_;
-    return out;
-}
-
-ReadOutcome
-DataPath::strideRead(const std::vector<Addr> &line_addrs, unsigned sector,
-                     unsigned unit)
-{
-    return strideRead(line_addrs.data(), line_addrs.size(), sector, unit);
-}
-
 void
 DataPath::strideWrite(const Addr *line_addrs, std::size_t count,
                       unsigned sector, unsigned unit,
@@ -253,15 +209,6 @@ DataPath::strideWrite(const Addr *line_addrs, std::size_t count,
         store_.writeLine(resolved(line_addrs[i]), encodeScratch_.data(),
                          /*clean=*/true);
     }
-}
-
-void
-DataPath::strideWrite(const std::vector<Addr> &line_addrs, unsigned sector,
-                      unsigned unit,
-                      const std::vector<std::uint8_t> &stride_line)
-{
-    strideWrite(line_addrs.data(), line_addrs.size(), sector, unit,
-                stride_line.data());
 }
 
 void
@@ -283,13 +230,6 @@ DataPath::writePartial(Addr line_addr, const std::uint8_t *data64,
     ecc_.encodeLineInto(line, encodeScratch_.data());
     store_.writeLine(resolved(line_addr), encodeScratch_.data(),
                      /*clean=*/true);
-}
-
-void
-DataPath::failChip(unsigned chip)
-{
-    sam_assert(chip < ecc_.numChips(), "chip ", chip, " out of range");
-    failedChips_.insert(chip);
 }
 
 } // namespace sam

@@ -1,10 +1,10 @@
 /**
  * @file
  * Functional data path of one channel: ECC-encoded backing storage,
- * chip-failure injection, and the stride gather/scatter performed by the
- * SAM I/O structures. Timing lives in Device; this class moves the
- * actual bytes so simulated queries compute real results through real
- * codewords.
+ * the fault and RAS hooks on the read path, and the stride
+ * gather/scatter performed by the SAM I/O structures. Timing lives in
+ * Device; this class moves the actual bytes so simulated queries
+ * compute real results through real codewords.
  */
 
 #ifndef SAM_DRAM_DATA_PATH_HH
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/common/stats.hh"
@@ -34,10 +33,13 @@ struct EccStats
     void registerIn(StatGroup &group) const;
 };
 
-/** Outcome of a functional read. */
-struct ReadOutcome
+/**
+ * Outcome of a functional read: the 64 data bytes land in the caller's
+ * buffer and scrubbed addresses (rare) are parked in
+ * DataPath::lastScrubbedLines(), so the hot path allocates nothing.
+ */
+struct ReadFlags
 {
-    std::vector<std::uint8_t> data;  ///< 64 corrected data bytes.
     bool corrected = false;
     bool uncorrectable = false;
     /** Uncorrectable survived the RAS retry budget: data is invalid. */
@@ -48,22 +50,6 @@ struct ReadOutcome
      * Per-source-line poison bits: bit i set when source line i of a
      * stride gather is poisoned (bit 0 for regular reads).
      */
-    std::uint32_t poisonBits = 0;
-    /** Logical line addresses scrubbed (corrected data written back). */
-    std::vector<Addr> scrubbedLines;
-};
-
-/**
- * Flag-only outcome of a zero-copy read: the 64 data bytes land in the
- * caller's buffer and scrubbed addresses (rare) are parked in
- * DataPath::lastScrubbedLines(), so the hot path allocates nothing.
- */
-struct ReadFlags
-{
-    bool corrected = false;
-    bool uncorrectable = false;
-    bool poisoned = false;
-    unsigned retries = 0;
     std::uint32_t poisonBits = 0;
     /** lastScrubbedLines() is non-empty for this access. */
     bool scrubbed = false;
@@ -81,32 +67,22 @@ class DataPath
     const EccEngine &ecc() const { return ecc_; }
     EccScheme scheme() const { return ecc_.scheme(); }
 
-    /** Read and ECC-check the 64B line at `line_addr` (64B aligned). */
-    ReadOutcome readLine(Addr line_addr);
-
     /**
-     * Zero-copy read: the corrected 64 data bytes are written to
-     * `out64`. Scrubbed addresses are in lastScrubbedLines().
+     * Read and ECC-check the 64B line at `line_addr` (64B aligned):
+     * the corrected 64 data bytes are written to `out64`. Scrubbed
+     * addresses are in lastScrubbedLines().
      */
     ReadFlags readLineInto(Addr line_addr, std::uint8_t *out64);
 
-    /** Encode and store a full 64B line. */
-    void writeLine(Addr line_addr, const std::vector<std::uint8_t> &data);
+    /** Encode and store the full 64B line at `data64`. */
+    void writeLine(Addr line_addr, const std::uint8_t *data64);
 
     /**
-     * Stride-mode read: gather chunk `sector` of each source line into
-     * one 64B strided line (Section 4.2). Sources are ECC-checked; a
-     * failed chip is corrected exactly as in regular mode, which is
-     * SAM's chipkill-compatibility property.
+     * Stride-mode read: gather chunk `sector` of each of the `count`
+     * source lines into one 64B strided line at `out64` (Section 4.2).
+     * Sources are ECC-checked; a failed chip is corrected exactly as
+     * in regular mode, which is SAM's chipkill-compatibility property.
      */
-    ReadOutcome strideRead(const std::vector<Addr> &line_addrs,
-                           unsigned sector, unsigned unit);
-
-    /** Span-based stride read (no line-list copy). */
-    ReadOutcome strideRead(const Addr *line_addrs, std::size_t count,
-                           unsigned sector, unsigned unit);
-
-    /** Zero-copy stride read over a borrowed address span. */
     ReadFlags strideReadInto(const Addr *line_addrs, std::size_t count,
                              unsigned sector, unsigned unit,
                              std::uint8_t *out64);
@@ -116,11 +92,6 @@ class DataPath
      * slot `sector` of each source line (read-modify-write with
      * re-encode).
      */
-    void strideWrite(const std::vector<Addr> &line_addrs, unsigned sector,
-                     unsigned unit,
-                     const std::vector<std::uint8_t> &stride_line);
-
-    /** Span-based stride write (no line-list or data copies). */
     void strideWrite(const Addr *line_addrs, std::size_t count,
                      unsigned sector, unsigned unit,
                      const std::uint8_t *stride_line);
@@ -132,12 +103,6 @@ class DataPath
      */
     void writePartial(Addr line_addr, const std::uint8_t *data64,
                       std::uint8_t sector_mask, unsigned sector_bytes);
-
-    /**
-     * Mark a chip as permanently failed: every subsequent read sees its
-     * contribution inverted (stuck-at-complement fault model).
-     */
-    void failChip(unsigned chip);
 
     const EccStats &stats() const { return stats_; }
     BackingStore &store() { return store_; }
@@ -187,10 +152,10 @@ class DataPath
      * the line, which heals it anyway.
      *
      * Fast path: a line whose stored blob carries the clean tag, with
-     * no failed chips and a fault hook (if any) that will leave this
-     * read untouched, provably decodes Clean -- its data bytes are
-     * copied, no blob is built (so no lazy parity is rebuilt), and
-     * only the counters a Clean decode would bump are advanced.
+     * a fault hook (if any) that will leave this read untouched,
+     * provably decodes Clean -- its data bytes are copied, no blob is
+     * built (so no lazy parity is rebuilt), and only the counters a
+     * Clean decode would bump are advanced.
      */
     ReadFlags fetchInto(Addr line_addr, std::uint8_t *out64,
                         bool rmw = false);
@@ -200,7 +165,6 @@ class DataPath
 
     EccEngine ecc_;
     BackingStore store_;
-    std::set<unsigned> failedChips_;
     EccStats stats_;
     FaultInjectionHook *faults_ = nullptr;
     RasPolicy *ras_ = nullptr;

@@ -193,30 +193,26 @@ class CoreExec
     std::optional<std::uint64_t>
     read(Table &t, std::uint64_t rec, unsigned f, bool sequential = true)
     {
-        std::uint64_t value = 0;
-        bool poisoned = false;
+        std::optional<std::uint64_t> value;
         if (env_.useStride && sequential && t.strideUsable()) {
             const std::uint64_t group = rec / t.gather();
             LineCache &lc = lineCacheFor(t, f);
             if (lc.group != group || !lc.valid) {
                 t.gatherPlanInto(group, f, env_.strideUnit, lc.plan);
-                port_.strideLoadInto(lc.plan, lc.line.data());
-                lc.poisonBits = port_.strideLoadPoisonBits();
+                lc.poisonBits =
+                    port_.strideLoadInto(lc.plan, lc.line.data());
                 lc.group = group;
                 lc.valid = true;
             }
             const unsigned chunk =
                 static_cast<unsigned>(rec % t.gather());
-            poisoned = (lc.poisonBits >> chunk) & 1u;
-            value = extract64(lc.line.data() + chunkOffset(chunk, f));
+            if (((lc.poisonBits >> chunk) & 1u) == 0)
+                value = extract64(lc.line.data() + chunkOffset(chunk, f));
         } else {
             value = port_.load(t.fieldAddr(rec, f), 8);
-            poisoned = port_.lastAccessPoisoned();
         }
-        if (poisoned) {
+        if (!value)
             poisoned_.insert({&t, rec});
-            return std::nullopt;
-        }
         return value;
     }
 
@@ -233,8 +229,8 @@ class CoreExec
     {
         t.gatherPlanInto(group, f, env_.strideUnit, updatePlan_);
         std::array<std::uint8_t, kCachelineBytes> line{};
-        port_.strideLoadInto(updatePlan_, line.data());
-        const std::uint32_t poison = port_.strideLoadPoisonBits();
+        const std::uint32_t poison =
+            port_.strideLoadInto(updatePlan_, line.data());
         const std::uint64_t lo = group * t.gather();
         for (std::uint64_t rec : recs) {
             insert64(line.data() +

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/common/gather.hh"
@@ -28,8 +29,13 @@ class MemPort
   public:
     virtual ~MemPort() = default;
 
-    /** Load up to 8 bytes (returns zero-extended value). */
-    virtual std::uint64_t load(Addr addr, unsigned bytes) = 0;
+    /**
+     * Load up to 8 bytes (returns the zero-extended value), or nothing
+     * when the bytes came back RAS-poisoned. CoreExec::read keeps a
+     * poisoned value out of every result.
+     */
+    virtual std::optional<std::uint64_t> load(Addr addr,
+                                              unsigned bytes) = 0;
 
     /** Store up to 8 bytes. */
     virtual void store(Addr addr, std::uint64_t value,
@@ -45,10 +51,12 @@ class MemPort
     /**
      * Strided load (sload): gather the planned chunks into a
      * caller-owned 64B buffer, so scan loops can hold their gather
-     * registers without per-group allocation.
+     * registers without per-group allocation. Returns the per-chunk
+     * poison bits (bit i = chunk i of the gathered line, i.e. source
+     * line i of the plan).
      */
-    virtual void strideLoadInto(const GatherPlan &plan,
-                                std::uint8_t *out64) = 0;
+    virtual std::uint32_t strideLoadInto(const GatherPlan &plan,
+                                         std::uint8_t *out64) = 0;
 
     /** Strided store (sstore): scatter a 64B line of chunks. */
     virtual void strideStore(const GatherPlan &plan,
@@ -56,19 +64,6 @@ class MemPort
 
     /** Account `cycles` of core compute time. */
     virtual void compute(Cycle cycles) = 0;
-
-    // ----- RAS poison reporting --------------------------------------
-    // Required: CoreExec::read keeps a poisoned value out of every
-    // result, so a port that dropped poison would corrupt silently.
-
-    /** Whether the last load() returned RAS-poisoned data. */
-    virtual bool lastAccessPoisoned() const = 0;
-
-    /**
-     * Per-chunk poison bits of the last strideLoadInto() (bit i =
-     * chunk i of the gathered line, i.e. source line i of the plan).
-     */
-    virtual std::uint32_t strideLoadPoisonBits() const = 0;
 };
 
 /** Merged functional result of a query (compared against a reference). */

@@ -116,6 +116,7 @@ childWorker(const RunSpec &spec, const ChaosPlan &plan, int fd)
         payload.set("run", runResultJson(r));
         line = payload.dump(0);
     } catch (const std::exception &e) {
+        reportUncaught(e);
         Json payload = Json::object();
         payload.set("error", std::string(e.what()));
         line = payload.dump(0);
@@ -229,6 +230,7 @@ Supervisor::runThreaded(const std::vector<RunSpec> &specs,
                               slot);
                     return;
                 } catch (const std::exception &e) {
+                    reportUncaught(e);
                     lastError = e.what();
                 }
             }

@@ -3,7 +3,7 @@
  * Supervised campaign execution: retries, timeouts, process isolation.
  *
  * The Supervisor is the one campaign executor: samcampaign, the figure
- * benches and `samsim --compare --jobs` all run their RunSpecs through
+ * benches and every `samsim --compare` run their RunSpecs through
  * it. Each attempt runs one spec in a fresh Session; a run that
  * crashes, hangs, or returns garbage is retried, classified, and -- if
  * it keeps failing -- recorded as FAILED while every other run's work
@@ -19,6 +19,13 @@
  *            error (non-zero exit), and corrupt-result (unparseable
  *            report) failures, so no worker misbehaviour — including
  *            chaos-injected SIGKILL — can corrupt campaign state
+ *
+ * An exception that fails an attempt prints once, where it happens:
+ * panic() and fatal() print theirs with file:line, and the worker
+ * prints any other exception (reportUncaught). A caller reading
+ * SupervisedRun::error must not print such an error to stderr again.
+ * Process mode's crash, hang and corrupt-result failures print
+ * nothing of their own.
  *
  * A failed attempt is retried at once, up to maxAttempts: a run is a
  * pure function of its spec and workers share no contended resource,

@@ -53,15 +53,16 @@ CorePort::recordSpan(AccessType type, const GatherPlan &plan)
     record(type, offset, plan.lines.size(), plan.sector);
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 CorePort::load(Addr addr, unsigned bytes)
 {
     sam_assert(bytes >= 1 && bytes <= 8, "load size");
     dataPath_.setNow(clock_);
     std::uint8_t buf[8] = {};
     const HierResult r = hierarchy_.read(addr, bytes, buf);
-    loadPoisoned_ = r.poisoned;
     clock_ += r.delay;
+    if (r.poisoned)
+        return std::nullopt;
     std::uint64_t v = 0;
     for (int i = static_cast<int>(bytes) - 1; i >= 0; --i)
         v = (v << 8) | buf[i];
@@ -96,13 +97,13 @@ CorePort::storeStream(Addr addr, std::uint64_t value, unsigned bytes)
     clock_ += r.delay;
 }
 
-void
+std::uint32_t
 CorePort::strideLoadInto(const GatherPlan &plan, std::uint8_t *out64)
 {
     dataPath_.setNow(clock_);
     const HierResult r = hierarchy_.strideRead(plan, strideUnit_, out64);
-    strideLoadPoison_ = r.poisonBits;
     clock_ += r.delay;
+    return r.poisonBits;
 }
 
 void
@@ -130,16 +131,16 @@ CorePort::recordScrubs(const ReadFlags &flags)
         recordLine(AccessType::Write, scrubbed);
 }
 
-void
+bool
 CorePort::fetchLine(Addr line, std::uint8_t *out64)
 {
     recordLine(AccessType::Read, line);
     const ReadFlags flags = dataPath_.readLineInto(line, out64);
     recordScrubs(flags);
-    fetchPoisoned_ = flags.poisoned;
+    return flags.poisoned;
 }
 
-void
+std::uint32_t
 CorePort::fetchStride(const GatherPlan &plan, std::uint8_t *out64)
 {
     recordSpan(AccessType::StrideRead, plan);
@@ -147,7 +148,7 @@ CorePort::fetchStride(const GatherPlan &plan, std::uint8_t *out64)
         plan.lines.data(), plan.lines.size(), plan.sector, strideUnit_,
         out64);
     recordScrubs(flags);
-    strideFetchPoison_ = flags.poisonBits;
+    return flags.poisonBits;
 }
 
 void

@@ -9,6 +9,7 @@
 #define SAM_SIM_CORE_PORT_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "src/cache/hierarchy.hh"
 #include "src/dram/data_path.hh"
@@ -40,32 +41,23 @@ class CorePort : public MemPort, public MemBackend
              unsigned stride_unit, DataPath &data_path);
 
     // ----- MemPort (executor side) ---------------------------------
-    std::uint64_t load(Addr addr, unsigned bytes) override;
+    std::optional<std::uint64_t> load(Addr addr, unsigned bytes) override;
     void store(Addr addr, std::uint64_t value, unsigned bytes) override;
     void storeStream(Addr addr, std::uint64_t value,
                      unsigned bytes) override;
-    void strideLoadInto(const GatherPlan &plan,
-                        std::uint8_t *out64) override;
+    std::uint32_t strideLoadInto(const GatherPlan &plan,
+                                 std::uint8_t *out64) override;
     void strideStore(const GatherPlan &plan,
                      const std::uint8_t *line64) override;
     void compute(Cycle cycles) override;
-    bool lastAccessPoisoned() const override { return loadPoisoned_; }
-    std::uint32_t strideLoadPoisonBits() const override
-    {
-        return strideLoadPoison_;
-    }
 
     // ----- MemBackend (cache memory side) ---------------------------
-    void fetchLine(Addr line, std::uint8_t *out64) override;
-    void fetchStride(const GatherPlan &plan, std::uint8_t *out64) override;
+    bool fetchLine(Addr line, std::uint8_t *out64) override;
+    std::uint32_t fetchStride(const GatherPlan &plan,
+                              std::uint8_t *out64) override;
     void writeback(const Writeback &wb) override;
     void writeStride(const GatherPlan &plan,
                      const std::uint8_t *line64) override;
-    bool lastFetchPoisoned() const override { return fetchPoisoned_; }
-    std::uint32_t lastStridePoisonBits() const override
-    {
-        return strideFetchPoison_;
-    }
 
     /** Start a new barrier epoch. */
     void newEpoch();
@@ -99,12 +91,6 @@ class CorePort : public MemPort, public MemBackend
     CoreTrace trace_;
     Cycle clock_ = 0;
     Cycle lastRecord_ = 0;
-    // Poison state of the most recent memory-side fetches (MemBackend
-    // queries) and core-side accesses (MemPort queries).
-    bool fetchPoisoned_ = false;
-    std::uint32_t strideFetchPoison_ = 0;
-    bool loadPoisoned_ = false;
-    std::uint32_t strideLoadPoison_ = 0;
 };
 
 } // namespace sam

@@ -2,14 +2,16 @@
  * @file
  * Unit tests for the sector cache and the three-level hierarchy:
  * sector valid/dirty tracking, LRU eviction, exclusive promotion,
- * stride fills, write-through sstores, write-combining allocation, and
- * dirty-data coherence between the cache and memory.
+ * stride fills, write-through sstores, write-combining allocation,
+ * dirty-data coherence between the cache and memory, and the poison
+ * state that travels with fetched data.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <set>
 
 #include "src/cache/hierarchy.hh"
 #include "src/cache/sector_cache.hh"
@@ -150,7 +152,7 @@ TEST(SectorCacheTest, FlushReturnsOnlyDirtyLines)
 class RecordingBackend : public MemBackend
 {
   public:
-    void
+    bool
     fetchLine(Addr line, std::uint8_t *out64) override
     {
         ++fetches;
@@ -159,21 +161,25 @@ class RecordingBackend : public MemBackend
             std::memcpy(out64, it->second.data(), kCachelineBytes);
         else
             std::memset(out64, 0, kCachelineBytes);
+        return poisonedLines.count(line) != 0;
     }
 
-    void
+    std::uint32_t
     fetchStride(const GatherPlan &plan, std::uint8_t *out64) override
     {
         ++strideFetches;
         const unsigned unit =
             kCachelineBytes / static_cast<unsigned>(plan.lines.size());
         std::uint8_t line[kCachelineBytes];
+        std::uint32_t poison = 0;
         for (std::size_t i = 0; i < plan.lines.size(); ++i) {
-            fetchLine(plan.lines[i], line);
+            if (fetchLine(plan.lines[i], line))
+                poison |= std::uint32_t{1} << i;
             --fetches; // internal
             std::memcpy(out64 + i * unit, line + plan.sector * unit,
                         unit);
         }
+        return poison;
     }
 
     void
@@ -209,6 +215,8 @@ class RecordingBackend : public MemBackend
     }
 
     std::map<Addr, std::vector<std::uint8_t>> memory;
+    /** Lines whose fetches come back RAS-poisoned. */
+    std::set<Addr> poisonedLines;
     unsigned fetches = 0;
     unsigned strideFetches = 0;
     unsigned writebacks = 0;
@@ -372,6 +380,92 @@ TEST_F(HierarchyTest, EvictionCascadesThroughLevels)
         hier.read(0x10000 + i * 64ull, 8, out);
         EXPECT_EQ(out[0], static_cast<std::uint8_t>(i)) << i;
     }
+}
+
+TEST_F(HierarchyTest, ResidentSectorsKeepTheirOwnPoisonState)
+{
+    // A poisoned line fetch taints only the sectors it supplies: a
+    // dirty resident sector overlays the fetched bytes and stays sound.
+    backend.memory[0xc000] = pattern(0xc0);
+    backend.poisonedLines.insert(0xc000);
+    const std::uint8_t v[8] = {0x11, 0x11, 0x11, 0x11,
+                               0x11, 0x11, 0x11, 0x11};
+    hier.write(0xc000, v, 8); // sector 0 resident, no fetch
+    std::uint8_t out[8];
+    const HierResult fetched = hier.read(0xc008, 8, out);
+    EXPECT_TRUE(fetched.memTouched);
+    EXPECT_TRUE(fetched.poisoned);
+    const HierResult resident = hier.read(0xc000, 8, out);
+    EXPECT_FALSE(resident.poisoned);
+    EXPECT_EQ(out[0], 0x11);
+
+    // And the other way round: a poisoned resident chunk (from a
+    // poisoned stride fetch) stays poisoned under a clean line fetch.
+    GatherPlan plan;
+    for (unsigned i = 0; i < 8; ++i) {
+        const Addr a = 0xc400 + i * 64ull;
+        backend.memory[a] = pattern(static_cast<std::uint8_t>(i));
+        backend.poisonedLines.insert(a);
+        plan.lines.push_back(a);
+    }
+    plan.sector = 3;
+    std::uint8_t line[kCachelineBytes];
+    EXPECT_EQ(hier.strideRead(plan, 8, line).poisonBits, 0xffu);
+    backend.poisonedLines.clear();
+    const HierResult clean = hier.read(0xc400, 8, out);
+    EXPECT_TRUE(clean.memTouched);
+    EXPECT_FALSE(clean.poisoned);
+    EXPECT_TRUE(hier.read(0xc400 + 3 * 8, 8, out).poisoned);
+}
+
+TEST_F(HierarchyTest, DirtyChunkWinsOverPoisonedStrideFetch)
+{
+    GatherPlan plan;
+    for (unsigned i = 0; i < 8; ++i) {
+        const Addr a = 0xe000 + i * 64ull;
+        backend.memory[a] = pattern(0);
+        backend.poisonedLines.insert(a);
+        plan.lines.push_back(a);
+    }
+    plan.sector = 1;
+    // Chunk 1 of line 2 is dirty in the cache: newer than memory, and
+    // sound whatever the fetch reports.
+    const std::uint8_t v[8] = {0x66, 0x66, 0x66, 0x66,
+                               0x66, 0x66, 0x66, 0x66};
+    hier.write(0xe000 + 2 * 64 + 8, v, 8);
+    std::uint8_t out[kCachelineBytes];
+    const HierResult r = hier.strideRead(plan, 8, out);
+    EXPECT_EQ(backend.strideFetches, 1u);
+    EXPECT_TRUE(r.poisoned);
+    EXPECT_EQ(r.poisonBits, 0xffu & ~(1u << 2));
+    EXPECT_EQ(out[2 * 8], 0x66);
+
+    // The fill kept each chunk's state: a re-read that hits agrees.
+    const HierResult again = hier.strideRead(plan, 8, out);
+    EXPECT_FALSE(again.memTouched);
+    EXPECT_EQ(again.poisonBits, r.poisonBits);
+    EXPECT_EQ(out[2 * 8], 0x66);
+}
+
+TEST_F(HierarchyTest, WholeSectorStoreClearsPoison)
+{
+    backend.memory[0xd000] = pattern(0xd0);
+    backend.poisonedLines.insert(0xd000);
+    std::uint8_t out[8];
+    EXPECT_TRUE(hier.read(0xd000, 8, out).poisoned);
+
+    // Stores that cover a whole sector make it sound again; a store
+    // into part of a sector leaves the rest of it poisoned.
+    const std::uint8_t v[8] = {0x42, 0x42, 0x42, 0x42,
+                               0x42, 0x42, 0x42, 0x42};
+    hier.write(0xd000, v, 8);
+    EXPECT_FALSE(hier.read(0xd000, 8, out).poisoned);
+    EXPECT_EQ(out[0], 0x42);
+    hier.write(0xd008, v, 4);
+    EXPECT_TRUE(hier.read(0xd008, 8, out).poisoned);
+    hier.writeAllocate(0xd010, v, 8);
+    EXPECT_FALSE(hier.read(0xd010, 8, out).poisoned);
+    EXPECT_TRUE(hier.read(0xd018, 8, out).poisoned);
 }
 
 TEST_F(HierarchyTest, RandomisedCoherenceAgainstReferenceModel)

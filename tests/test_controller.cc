@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "src/common/random.hh"
@@ -168,9 +169,12 @@ TEST_F(MappingTest, StrideGatherRoundTripsThroughData)
         stride_line[i] = static_cast<std::uint8_t>(i * 3 + 1);
     const auto plan = map.strideGather(base + 2 * kCachelineBytes, g,
                                        unit);
-    dp.strideWrite(plan.lines, plan.sector, unit, stride_line);
-    const auto r = dp.strideRead(plan.lines, plan.sector, unit);
-    EXPECT_EQ(r.data, stride_line);
+    dp.strideWrite(plan.lines.data(), plan.lines.size(), plan.sector, unit,
+                   stride_line.data());
+    std::vector<std::uint8_t> back(kCachelineBytes);
+    dp.strideReadInto(plan.lines.data(), plan.lines.size(), plan.sector,
+                      unit, back.data());
+    EXPECT_EQ(back, stride_line);
 }
 
 // --------------------------------------------------------------------
@@ -225,14 +229,15 @@ TEST_F(ControllerTest, EmptyControllerReturnsNothing)
 
 TEST_F(ControllerTest, ServesSingleRead)
 {
-    std::vector<std::uint8_t> line(kCachelineBytes, 0xab);
-    dataPath.writeLine(0x1000, line);
+    std::array<std::uint8_t, kCachelineBytes> line;
+    line.fill(0xab);
+    dataPath.writeLine(0x1000, line.data());
     ctrl.push(readReq(0x1000, 0));
     const auto c = ctrl.serviceNext();
     ASSERT_TRUE(c.has_value());
     EXPECT_TRUE(c->isRead);
     EXPECT_GT(c->done, 0u);
-    EXPECT_EQ(c->outcome.data, line);
+    EXPECT_EQ(c->data, line);
 }
 
 TEST_F(ControllerTest, RowHitPreferredOverOlderConflict)
@@ -258,7 +263,9 @@ TEST_F(ControllerTest, WritesDrainWhenReadsIdle)
     EXPECT_FALSE(c->isRead);
     EXPECT_EQ(ctrl.stats().writesServed.value(), 1u);
     // The write landed functionally.
-    EXPECT_EQ(dataPath.readLine(0x2000).data[0], 0x5a);
+    std::uint8_t back[kCachelineBytes];
+    dataPath.readLineInto(0x2000, back);
+    EXPECT_EQ(back[0], 0x5a);
 }
 
 TEST_F(ControllerTest, ReadsPrioritisedUntilWriteWatermark)
@@ -321,7 +328,8 @@ TEST_F(ControllerTest, TimingOnlyModeSkipsData)
     dry.push(std::move(r));
     const auto c = dry.serviceNext();
     ASSERT_TRUE(c.has_value());
-    EXPECT_TRUE(c->outcome.data.empty()); // no functional read
+    // No functional read: the data path checked no line.
+    EXPECT_EQ(dataPath.stats().linesChecked.value(), 0u);
     // Timing-only writes need no payload.
     MemRequest w;
     w.type = AccessType::Write;
@@ -340,7 +348,7 @@ TEST_F(ControllerTest, StrideRequestGathersFunctionally)
         const Addr a = 0x200000 + i * 64ull;
         std::vector<std::uint8_t> data(kCachelineBytes,
                                        static_cast<std::uint8_t>(i));
-        dataPath.writeLine(a, data);
+        dataPath.writeLine(a, data.data());
         lines.push_back(a);
     }
     MemRequest r;
@@ -357,7 +365,7 @@ TEST_F(ControllerTest, StrideRequestGathersFunctionally)
     ASSERT_TRUE(c.has_value());
     for (unsigned i = 0; i < 4; ++i) {
         for (unsigned b = 0; b < 16; ++b)
-            EXPECT_EQ(c->outcome.data[i * 16 + b], i);
+            EXPECT_EQ(c->data[i * 16 + b], i);
     }
     EXPECT_EQ(ctrl.stats().strideReadsServed.value(), 1u);
 }

@@ -3,7 +3,7 @@
  * Unit tests for the DRAM substrate: timing parameters, the device
  * timing engine (row hits/misses, bank parallelism, tFAW, mode
  * switches, refresh), the chip I/O path, stride gather/scatter, and the
- * functional data path with chip-failure injection.
+ * functional data path under a whole-chip failure.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "src/dram/device.hh"
 #include "src/dram/io_buffer.hh"
 #include "src/dram/timing.hh"
+#include "src/faults/fault_injector.hh"
 
 namespace sam {
 namespace {
@@ -649,6 +650,26 @@ TEST(GatherChipConsistency, RankGatherMatchesChipLanes)
 // DataPath (functional reads/writes with ECC on the way)
 // --------------------------------------------------------------------
 
+/** Read one line back; its flags land in `flags`. */
+std::vector<std::uint8_t>
+readBack(DataPath &dp, Addr line, ReadFlags &flags)
+{
+    std::vector<std::uint8_t> data(kCachelineBytes);
+    flags = dp.readLineInto(line, data.data());
+    return data;
+}
+
+/** The injector's chipkill model with `chip` dead from cycle 0. */
+FaultConfig
+chipDeadFromStart(unsigned chip)
+{
+    FaultConfig fc;
+    fc.model = FaultModel::Chipkill;
+    fc.chipkillAt = 0;
+    fc.chipkillChip = chip;
+    return fc;
+}
+
 TEST(DataPath, WriteReadRoundTrip)
 {
     DataPath dp(EccScheme::Ssc);
@@ -656,17 +677,18 @@ TEST(DataPath, WriteReadRoundTrip)
     std::vector<std::uint8_t> line(kCachelineBytes);
     for (auto &b : line)
         b = static_cast<std::uint8_t>(rng.below(256));
-    dp.writeLine(0x1000, line);
-    const auto r = dp.readLine(0x1000);
-    EXPECT_EQ(r.data, line);
+    dp.writeLine(0x1000, line.data());
+    ReadFlags r;
+    EXPECT_EQ(readBack(dp, 0x1000, r), line);
     EXPECT_FALSE(r.corrected);
 }
 
 TEST(DataPath, UnwrittenLinesReadZero)
 {
     DataPath dp(EccScheme::Ssc);
-    const auto r = dp.readLine(0x2000);
-    EXPECT_EQ(r.data, std::vector<std::uint8_t>(kCachelineBytes, 0));
+    ReadFlags r;
+    EXPECT_EQ(readBack(dp, 0x2000, r),
+              std::vector<std::uint8_t>(kCachelineBytes, 0));
     // All-zero data with all-zero parity is a valid RS codeword.
     EXPECT_FALSE(r.uncorrectable);
 }
@@ -677,14 +699,16 @@ TEST(DataPath, StrideReadGathersAcrossLines)
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 4; ++i) {
         const Addr a = 0x4000 + i * kCachelineBytes;
-        dp.writeLine(a, patternLine(static_cast<std::uint8_t>(i + 1)));
+        dp.writeLine(a,
+                     patternLine(static_cast<std::uint8_t>(i + 1)).data());
         addrs.push_back(a);
     }
-    const auto r = dp.strideRead(addrs, 1, 16);
+    std::uint8_t out[kCachelineBytes];
+    dp.strideReadInto(addrs.data(), addrs.size(), 1, 16, out);
     for (unsigned i = 0; i < 4; ++i) {
         const auto expect = patternLine(static_cast<std::uint8_t>(i + 1));
         for (unsigned b = 0; b < 16; ++b)
-            EXPECT_EQ(r.data[i * 16 + b], expect[16 + b]);
+            EXPECT_EQ(out[i * 16 + b], expect[16 + b]);
     }
 }
 
@@ -694,19 +718,20 @@ TEST(DataPath, StrideWriteUpdatesOnlyTargetChunks)
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 8; ++i) {
         const Addr a = 0x8000 + i * kCachelineBytes;
-        dp.writeLine(a, patternLine(static_cast<std::uint8_t>(i)));
+        dp.writeLine(a, patternLine(static_cast<std::uint8_t>(i)).data());
         addrs.push_back(a);
     }
     std::vector<std::uint8_t> stride_line(kCachelineBytes, 0xab);
-    dp.strideWrite(addrs, 3, 8, stride_line);
+    dp.strideWrite(addrs.data(), addrs.size(), 3, 8, stride_line.data());
 
     for (unsigned i = 0; i < 8; ++i) {
-        const auto r = dp.readLine(addrs[i]);
+        ReadFlags r;
+        const auto data = readBack(dp, addrs[i], r);
         EXPECT_FALSE(r.uncorrectable);
         const auto expect = patternLine(static_cast<std::uint8_t>(i));
         for (unsigned b = 0; b < kCachelineBytes; ++b) {
             const bool in_chunk = b >= 24 && b < 32; // sector 3 of 8B
-            EXPECT_EQ(r.data[b], in_chunk ? 0xab : expect[b]);
+            EXPECT_EQ(data[b], in_chunk ? 0xab : expect[b]);
         }
     }
 }
@@ -719,24 +744,28 @@ TEST(DataPath, ChipFailureCorrectedOnRegularAndStridePaths)
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < 4; ++i) {
         const Addr a = 0x10000 + i * kCachelineBytes;
-        dp.writeLine(a, patternLine(static_cast<std::uint8_t>(0x30 + i)));
+        dp.writeLine(
+            a, patternLine(static_cast<std::uint8_t>(0x30 + i)).data());
         addrs.push_back(a);
     }
-    dp.failChip(6);
+    FaultInjector inj(chipDeadFromStart(6));
+    dp.setFaultHook(&inj);
 
-    const auto reg = dp.readLine(addrs[0]);
+    ReadFlags reg;
+    EXPECT_EQ(readBack(dp, addrs[0], reg), patternLine(0x30));
     EXPECT_TRUE(reg.corrected);
     EXPECT_FALSE(reg.uncorrectable);
-    EXPECT_EQ(reg.data, patternLine(0x30));
 
-    const auto st = dp.strideRead(addrs, 2, 16);
+    std::uint8_t st_data[kCachelineBytes];
+    const ReadFlags st =
+        dp.strideReadInto(addrs.data(), addrs.size(), 2, 16, st_data);
     EXPECT_TRUE(st.corrected);
     EXPECT_FALSE(st.uncorrectable);
     for (unsigned i = 0; i < 4; ++i) {
         const auto expect =
             patternLine(static_cast<std::uint8_t>(0x30 + i));
         for (unsigned b = 0; b < 16; ++b)
-            EXPECT_EQ(st.data[i * 16 + b], expect[32 + b]);
+            EXPECT_EQ(st_data[i * 16 + b], expect[32 + b]);
     }
     EXPECT_GE(dp.stats().correctedLines.value(), 5u);
 }
@@ -753,11 +782,12 @@ TEST(DataPath, SecDedCannotProtectAgainstChipFailure)
     bool any_unprotected = false;
     for (unsigned chip = 0; chip < 16; ++chip) {
         DataPath dp(EccScheme::SecDed);
-        dp.writeLine(0x0, original);
-        dp.failChip(chip);
-        const auto r = dp.readLine(0x0);
-        const bool protected_read = !r.uncorrectable &&
-                                    r.data == original;
+        dp.writeLine(0x0, original.data());
+        FaultInjector inj(chipDeadFromStart(chip));
+        dp.setFaultHook(&inj);
+        ReadFlags r;
+        const auto data = readBack(dp, 0x0, r);
+        const bool protected_read = !r.uncorrectable && data == original;
         EXPECT_FALSE(protected_read) << "chip " << chip;
         any_unprotected = any_unprotected || !protected_read;
     }

@@ -92,10 +92,11 @@ TEST_P(LayoutTest, MaterializeMatchesFieldAddr)
     TableCache cache(1);
     DataPath dp(EccScheme::SscDsd);
     dp.store().install(cache.materialized(t, other, EccScheme::SscDsd));
+    std::uint8_t line[kCachelineBytes];
     for (std::uint64_t r = 0; r < sch.numRecords; r += 7) {
         for (unsigned f = 0; f < sch.numFields; f += 3) {
             const Addr a = t.fieldAddr(r, f);
-            const auto line = dp.readLine(a & ~Addr{63}).data;
+            dp.readLineInto(a & ~Addr{63}, line);
             std::uint64_t v = 0;
             const unsigned off = static_cast<unsigned>(a % 64);
             for (int i = 7; i >= 0; --i)

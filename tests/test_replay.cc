@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/random.hh"
@@ -47,8 +48,10 @@ TEST(StatsPlumbing, DeviceStatsRegisterAndDump)
 TEST(StatsPlumbing, EccAndCacheStatsRegister)
 {
     DataPath dp(EccScheme::Ssc);
-    dp.writeLine(0x0, std::vector<std::uint8_t>(kCachelineBytes, 1));
-    dp.readLine(0x0);
+    std::uint8_t line[kCachelineBytes];
+    std::fill(line, line + kCachelineBytes, std::uint8_t{1});
+    dp.writeLine(0x0, line);
+    dp.readLineInto(0x0, line);
     StatGroup ecc_group("ecc");
     dp.stats().registerIn(ecc_group);
     EXPECT_EQ(ecc_group.counterValue("linesChecked"), 1u);
@@ -236,10 +239,11 @@ TEST(Replay, Bamboo72SystemSurvivesChipFailure)
 {
     SimConfig cfg = tinyConfig(DesignKind::SamEn);
     cfg.ecc = EccScheme::Bamboo72;
+    cfg.faults.model = FaultModel::Chipkill;
+    cfg.faults.chipkillAt = 0;
+    cfg.faults.chipkillChip = 11;
     System sys(cfg);
     const Query q3 = benchmarkQQueries()[2];
-    sys.runQuery(q3);
-    sys.dataPath().failChip(11);
     const auto r = sys.runQuery(q3);
     EXPECT_TRUE(r.result ==
                 referenceResult(q3, sys.taSchema(), sys.tbSchema()));

@@ -237,11 +237,12 @@ TEST(SystemReliability, ChipFailureDuringQueryIsCorrected)
 {
     SimConfig cfg = smallConfig();
     cfg.design = DesignKind::SamEn; // SSC-DSD chipkill
+    // Chip 5 is dead from the first read on.
+    cfg.faults.model = FaultModel::Chipkill;
+    cfg.faults.chipkillAt = 0;
+    cfg.faults.chipkillChip = 5;
     System sys(cfg);
     const Query q3 = benchmarkQQueries()[2];
-    // Warm run materializes tables; then fail a chip and re-run.
-    sys.runQuery(q3);
-    sys.dataPath().failChip(5);
     const RunStats r = sys.runQuery(q3);
     EXPECT_TRUE(r.result ==
                 referenceResult(q3, sys.taSchema(), sys.tbSchema()));
@@ -253,10 +254,11 @@ TEST(SystemReliability, GsDramHasNoProtection)
 {
     SimConfig cfg = smallConfig();
     cfg.design = DesignKind::GsDram; // EccScheme::None
+    cfg.faults.model = FaultModel::Chipkill;
+    cfg.faults.chipkillAt = 0;
+    cfg.faults.chipkillChip = 5;
     System sys(cfg);
     const Query q3 = benchmarkQQueries()[2];
-    sys.runQuery(q3);
-    sys.dataPath().failChip(5);
     const RunStats r = sys.runQuery(q3);
     // The corrupted data flows straight into the query result.
     EXPECT_FALSE(r.result ==

@@ -4,7 +4,7 @@
  *
  * Run any benchmark query (or a parameterized arithmetic/aggregate
  * query) on any design, optionally comparing against the row-store
- * baseline, injecting chip failures, or dumping detailed statistics.
+ * baseline, injecting faults, or dumping detailed statistics.
  *
  * Examples:
  *   samsim --list
@@ -20,7 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <stdexcept>
+#include <exception>
 #include <string>
 
 #include "src/common/json.hh"
@@ -54,7 +54,10 @@ usage(int code)
         "                         table (explicit --ta/--tb win)\n"
         "  --cores <n>            cores (default 4)\n"
         "  --mshrs <n>            outstanding misses/core (default 8)\n"
-        "  --fail-chip <c>        inject a whole-chip failure\n"
+        "  --fail-chip <c>        chip c dies at cycle 0 (chipkill) on\n"
+        "                         the design run only; cannot be\n"
+        "                         combined with --fault-model or\n"
+        "                         --chipkill-at\n"
         "  --fault-model <name>   live faults: none, transient,\n"
         "                         stuckat, chipkill\n"
         "  --fit <f>              transient flips per Mcycle (def. 10)\n"
@@ -366,6 +369,10 @@ main(int argc, char **argv)
             usageError("unknown option '" + a + "' (try --help)");
     }
 
+    if (fail_chip >= 0 && cfg.faults.model != FaultModel::None)
+        usageError("--fail-chip cannot be combined with --fault-model "
+                   "or --chipkill-at");
+
     // Scale presets fill in whatever --ta/--tb did not pin explicitly.
     if (scale_given) {
         const SimConfig preset = campaignConfig(scale);
@@ -386,7 +393,16 @@ main(int argc, char **argv)
         const Query query =
             parseQuery(query_name, proj, sel, cfg.taFields);
 
-        Session session(cfg);
+        // --fail-chip kills the chip from the first read on, on the
+        // design run only: the baseline stays fault-free. The kill
+        // cycle keeps its default, 0 (--chipkill-at was rejected).
+        SimConfig dcfg = cfg;
+        dcfg.design = design;
+        if (fail_chip >= 0) {
+            dcfg.faults.model = FaultModel::Chipkill;
+            dcfg.faults.chipkillChip = static_cast<unsigned>(fail_chip);
+        }
+
         // The scheme the design runs, which can differ from --ecc
         // (GS-DRAM and GS-DRAM-ecc run unprotected).
         const EccScheme ecc =
@@ -396,44 +412,33 @@ main(int argc, char **argv)
                     eccSchemeName(ecc).c_str(),
                     static_cast<unsigned long long>(cfg.taRecords),
                     static_cast<unsigned long long>(cfg.tbRecords));
+        if (fail_chip >= 0)
+            std::printf("injected whole-chip failure on chip %d\n",
+                        fail_chip);
 
         RunStats run;
         RunStats base;
-        bool have_base = false;
-        if (compare && jobs != 1 && fail_chip < 0) {
-            // Fan the design and baseline runs across a pool; each
-            // executes in a fresh single-threaded Session sharing the
-            // materialized-table cache, so the printed numbers match
-            // the serial path exactly.
+        if (compare) {
+            // The design and baseline runs go through the Supervisor,
+            // each in a fresh Session sharing the materialized-table
+            // cache, so every --jobs prints the same numbers.
             SupervisorConfig scfg;
             scfg.jobs = jobs;
             scfg.maxAttempts = 1;
             Supervisor supervisor(scfg);
-            SimConfig dcfg = cfg;
-            dcfg.design = design;
             SimConfig bcfg = cfg;
             bcfg.design = DesignKind::Baseline;
             std::vector<RunSpec> specs;
             specs.push_back(RunSpec{design_name, dcfg, query, false});
             specs.push_back(RunSpec{"baseline", bcfg, query, false});
             SupervisorReport report = supervisor.run(specs);
-            for (const SupervisedRun &r : report.runs) {
-                if (!r.succeeded())
-                    throw std::runtime_error(r.error);
-            }
+            // A failed run's worker has already printed its error.
+            if (!report.allDone())
+                return 1;
             run = std::move(report.runs[0].result.stats);
             base = std::move(report.runs[1].result.stats);
-            have_base = true;
         } else {
-            if (fail_chip >= 0) {
-                // Materialize first, then break the chip.
-                session.system(design).runQuery(query);
-                session.system(design).dataPath().failChip(
-                    static_cast<unsigned>(fail_chip));
-                std::printf("injected whole-chip failure on chip %d\n",
-                            fail_chip);
-            }
-            run = session.run(design, query);
+            run = Session(dcfg).run(design, query);
         }
         printRun(design_name.c_str(), run);
 
@@ -482,8 +487,6 @@ main(int argc, char **argv)
         }
 
         if (compare) {
-            if (!have_base)
-                base = session.run(DesignKind::Baseline, query);
             printRun("baseline", base);
             std::printf("speedup: %.2fx   energy efficiency: %.2fx\n",
                         static_cast<double>(base.cycles) /
